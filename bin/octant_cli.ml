@@ -356,7 +356,7 @@ let stream seed hosts probes feed verify backend harden budget refine telemetry 
     }
   in
   let ctx = Octant.Pipeline.prepare ~config ~landmarks ~inter_landmark_rtt_ms:inter () in
-  let sessions = Octant.Pipeline.Sessions.create () in
+  let sessions = Octant_serve.Lru.create ~capacity:1024 () in
   let prev : (string, Octant.Estimate.t) Hashtbl.t = Hashtbl.create 8 in
   let fail line_no fmt =
     Printf.ksprintf
@@ -406,10 +406,10 @@ let stream seed hosts probes feed verify backend harden budget refine telemetry 
           | Some upto -> Octant.Pipeline.Session.retire session ~upto_epoch:upto
           | None -> est
         in
-        ignore (Octant.Pipeline.Sessions.add sessions u.Protocol.u_target session);
+        ignore (Octant_serve.Lru.add sessions u.Protocol.u_target session);
         report line_no "base" u.Protocol.u_target est session
     | None -> (
-        match Octant.Pipeline.Sessions.find sessions u.Protocol.u_target with
+        match Octant_serve.Lru.find sessions u.Protocol.u_target with
         | None -> fail line_no "unknown session %S (no prior base frame)" u.Protocol.u_target
         | Some session ->
             let delta = Protocol.quantized_delta u in
@@ -450,7 +450,7 @@ let stream seed hosts probes feed verify backend harden budget refine telemetry 
    with End_of_file -> ());
   close_in ic;
   Printf.printf "replayed %d updates across %d live sessions%s\n" !applied
-    (Octant.Pipeline.Sessions.live sessions)
+    (Octant_serve.Lru.length sessions)
     (if verify then " (prefix parity verified)" else "")
 
 let stream_cmd =

@@ -5,9 +5,8 @@
    and then serves localize requests over TCP from a single-threaded
    event loop: newline-delimited JSON frames, or length-prefixed binary
    frames for clients that open with the "OCTB" magic.  Concurrent
-   requests micro-batch onto the multicore batch engine (awaited by a
-   fixed worker pool) and repeated observations replay from a sharded
-   LRU cache.
+   requests micro-batch onto the multicore batch engine and repeated
+   observations replay from a sharded LRU cache.
 
      octant_served --seed 7 --hosts 51 --port 7700
      echo '{"id":1,"rtt_ms":[12.5,33.1,...]}' | nc 127.0.0.1 7700
@@ -38,13 +37,6 @@ let jobs_arg =
     & opt int 0
     & info [ "jobs" ] ~docv:"J"
         ~doc:"Domains per dispatched batch; 0 uses one per available core.")
-
-let workers_arg =
-  Arg.(
-    value
-    & opt int 8
-    & info [ "workers" ] ~docv:"N"
-        ~doc:"Worker threads awaiting batched results (the event loop itself is one thread).")
 
 let max_queue_arg =
   Arg.(
@@ -172,7 +164,7 @@ let refine_opt budget refine =
       }
   else None
 
-let serve seed hosts probes port host jobs workers max_queue max_batch batch_delay_ms cache
+let serve seed hosts probes port host jobs max_queue max_batch batch_delay_ms cache
     cache_shards sessions max_conns deadline backend harden budget refine telemetry =
   let telemetry_sink =
     match telemetry with
@@ -213,7 +205,6 @@ let serve seed hosts probes port host jobs workers max_queue max_batch batch_del
       Octant_serve.Server.host;
       port;
       jobs = (if jobs = 0 then None else Some jobs);
-      workers;
       max_queue;
       max_batch;
       batch_delay_s = batch_delay_ms /. 1000.0;
@@ -232,7 +223,6 @@ let serve seed hosts probes port host jobs workers max_queue max_batch batch_del
   let on_signal _ = Octant_serve.Server.request_shutdown srv in
   Sys.set_signal Sys.sigterm (Sys.Signal_handle on_signal);
   Sys.set_signal Sys.sigint (Sys.Signal_handle on_signal);
-  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
   Octant_serve.Server.wait srv;
   Printf.printf "octant_served draining...\n%!";
   Octant_serve.Server.stop srv;
@@ -257,7 +247,7 @@ let main =
        ~doc:"Octant localization daemon (newline-delimited JSON over TCP)")
     Term.(
       const serve $ seed_arg $ hosts_arg $ probes_arg $ port_arg $ host_arg $ jobs_arg
-      $ workers_arg $ max_queue_arg $ max_batch_arg $ batch_delay_arg $ cache_arg
+      $ max_queue_arg $ max_batch_arg $ batch_delay_arg $ cache_arg
       $ cache_shards_arg $ sessions_arg $ max_conns_arg $ deadline_arg $ backend_arg
       $ harden_arg $ budget_arg $ refine_arg $ telemetry_arg)
 

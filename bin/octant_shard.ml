@@ -126,7 +126,6 @@ let serve port host backends vnodes max_attempts max_conns drain_timeout telemet
   let on_signal _ = Octant_serve.Shard.request_shutdown front in
   Sys.set_signal Sys.sigterm (Sys.Signal_handle on_signal);
   Sys.set_signal Sys.sigint (Sys.Signal_handle on_signal);
-  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
   Octant_serve.Shard.wait front;
   Printf.printf "octant_shard draining...\n%!";
   Octant_serve.Shard.stop front;

@@ -1023,66 +1023,6 @@ module Session = struct
   let constraint_log s = Solver.Session.log s.s_solver
 end
 
-(* Bounded per-target session registry: a mutex-guarded table with
-   least-recently-used eviction, so a long-lived holder (daemon, CLI
-   stream replay) can pin thousands of live targets without unbounded
-   growth.  Eviction returns the victim so the holder can count it. *)
-module Sessions = struct
-  type entry = { e_session : Session.t; mutable e_tick : int }
-
-  type t = {
-    capacity : int;
-    table : (string, entry) Hashtbl.t;
-    mutable tick : int;
-    lock : Mutex.t;
-  }
-
-  let create ?(capacity = 1024) () =
-    if capacity <= 0 then invalid_arg "Pipeline.Sessions.create: capacity must be positive";
-    { capacity; table = Hashtbl.create 64; tick = 0; lock = Mutex.create () }
-
-  let with_lock t f =
-    Mutex.lock t.lock;
-    Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
-
-  let touch t e =
-    t.tick <- t.tick + 1;
-    e.e_tick <- t.tick
-
-  let find t target_id =
-    with_lock t @@ fun () ->
-    match Hashtbl.find_opt t.table target_id with
-    | None -> None
-    | Some e ->
-        touch t e;
-        Some e.e_session
-
-  (* Insert (replacing any previous session for the target) and evict the
-     least-recently-touched entry when over capacity. *)
-  let add t target_id session =
-    with_lock t @@ fun () ->
-    Hashtbl.replace t.table target_id { e_session = session; e_tick = t.tick + 1 };
-    t.tick <- t.tick + 1;
-    if Hashtbl.length t.table <= t.capacity then None
-    else begin
-      let victim = ref None in
-      Hashtbl.iter
-        (fun id e ->
-          match !victim with
-          | Some (_, tick) when tick <= e.e_tick -> ()
-          | _ -> victim := Some (id, e.e_tick))
-        t.table;
-      match !victim with
-      | Some (id, _) ->
-          Hashtbl.remove t.table id;
-          Some id
-      | None -> None
-    end
-
-  let remove t target_id = with_lock t @@ fun () -> Hashtbl.remove t.table target_id
-  let live t = with_lock t @@ fun () -> Hashtbl.length t.table
-end
-
 let localize_batch ?undns ?jobs ?chunk ctx observations =
   (* The context is immutable after [prepare] (the geometry cache mutates
      internally but never changes observable results), and [localize] is a

@@ -290,23 +290,3 @@ module Session : sig
   (** Chronological surviving constraint log (exposed for tests and the
       stream bench). *)
 end
-
-(** Bounded, thread-safe per-target session registry with
-    least-recently-used eviction — the daemon's and the CLI's session
-    store. *)
-module Sessions : sig
-  type t
-
-  val create : ?capacity:int -> unit -> t
-  (** Default capacity 1024 live sessions. *)
-
-  val find : t -> string -> Session.t option
-  (** Lookup by target id; touches recency. *)
-
-  val add : t -> string -> Session.t -> string option
-  (** Insert (replacing any existing session under the id); returns the
-      target id evicted to stay within capacity, if any. *)
-
-  val remove : t -> string -> unit
-  val live : t -> int
-end

@@ -2,17 +2,11 @@ type outcome =
   | Computed of (Octant.Estimate.t, string) result * Obs.Telemetry.Audit.entry list
   | Expired
 
-type ticket = {
-  t_lock : Mutex.t;
-  t_cond : Condition.t;
-  mutable t_outcome : outcome option;
-}
-
 type item = {
   obs : Octant.Pipeline.observations;
   deadline : float option;
   want_audit : bool;
-  ticket : ticket;
+  on_done : outcome -> unit;
 }
 
 type compute = {
@@ -43,20 +37,10 @@ type t = {
   mutable worker : Thread.t option; (* None after drain joins it *)
 }
 
-let resolve ticket outcome =
-  Mutex.lock ticket.t_lock;
-  ticket.t_outcome <- Some outcome;
-  Condition.broadcast ticket.t_cond;
-  Mutex.unlock ticket.t_lock
-
-let await ticket =
-  Mutex.lock ticket.t_lock;
-  while ticket.t_outcome = None do
-    Condition.wait ticket.t_cond ticket.t_lock
-  done;
-  let o = Option.get ticket.t_outcome in
-  Mutex.unlock ticket.t_lock;
-  o
+(* The callback runs here, on the worker thread.  One that raises must
+   not unwind the worker: every later item would then wait forever. *)
+let resolve it outcome =
+  try it.on_done outcome with _ -> Obs.Telemetry.Counter.incr Metrics.dispatch_failures
 
 (* A computed outcome still answers [Expired] when the item's deadline
    passed during the solve: the client stopped waiting, and an [ok] after
@@ -66,17 +50,17 @@ let resolve_checking_deadline it outcome =
   match it.deadline with
   | Some d when now > d ->
       Obs.Telemetry.Counter.incr Metrics.expired;
-      resolve it.ticket Expired
-  | _ -> resolve it.ticket outcome
+      resolve it Expired
+  | _ -> resolve it outcome
 
 let exn_reason e = Printf.sprintf "solver exception: %s" (Printexc.to_string e)
 
-(* Compute one drained batch and resolve every ticket in it.  Runs on the
+(* Compute one drained batch and resolve every item in it.  Runs on the
    worker thread; [run_batch] fans out over the domain pool from here
    (spawning domains from a systhread is supported on OCaml >= 5.1, the
    toolchain floor).  Every exit path — including an exception escaping
-   the solver — resolves every ticket: an unresolved ticket would leave
-   its handler blocked in [await] forever and wedge the daemon. *)
+   the solver — resolves every item: an unresolved item is a client that
+   never gets its reply, and a drain that never ends. *)
 let dispatch t items =
   let now = Unix.gettimeofday () in
   let live, dead =
@@ -87,9 +71,9 @@ let dispatch t items =
   List.iter
     (fun it ->
       Obs.Telemetry.Counter.incr Metrics.expired;
-      resolve it.ticket Expired)
+      resolve it Expired)
     dead;
-  if live <> [] then begin
+  if not (List.is_empty live) then begin
     Obs.Telemetry.Counter.incr Metrics.batches;
     Obs.Telemetry.Histogram.observe Metrics.h_batch_size (float_of_int (List.length live));
     let plain, audited = List.partition (fun it -> not it.want_audit) live in
@@ -103,16 +87,16 @@ let dispatch t items =
       | exception e ->
           Obs.Telemetry.Counter.incr Metrics.dispatch_failures;
           let reason = exn_reason e in
-          Array.iter (fun it -> resolve it.ticket (Computed (Error reason, []))) plain_arr
+          Array.iter (fun it -> resolve it (Computed (Error reason, []))) plain_arr
     end;
     List.iter
       (fun it ->
         match t.compute.run_audited it.obs with
         | est, audit -> resolve_checking_deadline it (Computed (Ok est, audit))
-        | exception Invalid_argument reason -> resolve it.ticket (Computed (Error reason, []))
+        | exception Invalid_argument reason -> resolve it (Computed (Error reason, []))
         | exception e ->
             Obs.Telemetry.Counter.incr Metrics.dispatch_failures;
-            resolve it.ticket (Computed (Error (exn_reason e), [])))
+            resolve it (Computed (Error (exn_reason e), [])))
       audited
   end
 
@@ -163,24 +147,21 @@ let create ~compute ?jobs ~max_queue ~max_batch ~batch_delay_s () =
   t.worker <- Some (Thread.create worker_loop t);
   t
 
-let submit t ~obs ?deadline ~want_audit () =
+let submit t ~obs ?deadline ~want_audit ~on_done () =
   Mutex.lock t.lock;
   let verdict =
     if Atomic.get t.closed then `Closed
     else if Queue.length t.queue >= t.max_queue then `Overloaded
     else begin
-      let ticket =
-        { t_lock = Mutex.create (); t_cond = Condition.create (); t_outcome = None }
-      in
-      Queue.push { obs; deadline; want_audit; ticket } t.queue;
+      Queue.push { obs; deadline; want_audit; on_done } t.queue;
       Obs.Telemetry.Histogram.observe Metrics.h_queue_depth
         (float_of_int (Queue.length t.queue));
       Condition.signal t.nonempty;
-      `Queued ticket
+      `Queued
     end
   in
   Mutex.unlock t.lock;
-  (match verdict with `Overloaded -> Obs.Telemetry.Counter.incr Metrics.overloaded | _ -> ());
+  (match verdict with `Queued -> () | `Overloaded | `Closed -> Obs.Telemetry.Counter.incr Metrics.overloaded);
   verdict
 
 let queue_depth t =

@@ -1,23 +1,24 @@
 (** Micro-batching admission queue over {!Octant.Pipeline.localize_batch}.
 
-    Callers {!submit} observations into a bounded queue and block in
-    {!await}; a single worker thread wakes on the first queued item,
-    sleeps [batch_delay_s] to let concurrent requests coalesce, then
-    drains up to [max_batch] items and dispatches them as one
-    [run_batch] call over the domain pool.  Items whose deadline passed
-    before dispatch are answered [Expired] without paying for a solve —
-    and the deadline is re-checked {e after} compute too, so a request
-    whose budget ran out during a long solve is never reported [ok].
+    Callers {!submit} observations with a completion callback into a
+    bounded queue; a single worker thread wakes on the first queued
+    item, sleeps [batch_delay_s] to let concurrent requests coalesce,
+    then drains up to [max_batch] items, dispatches them as one
+    [run_batch] call over the domain pool, and calls each item's
+    callback with its outcome.  Items whose deadline passed before
+    dispatch are answered [Expired] without paying for a solve — and the
+    deadline is re-checked {e after} compute too, so a request whose
+    budget ran out during a long solve is never reported [ok].
     Audit-requesting items are computed individually through
     [run_audited] (same estimate, plus the per-constraint trail).
 
     A full queue rejects at {!submit} ([`Overloaded]) — load is shed at
-    admission, never by silent discard, so every accepted item is
-    guaranteed an outcome and {!await} cannot hang: {!drain} computes
-    everything still queued before the worker exits, and an exception
-    escaping the solver resolves every affected ticket with
-    [Computed (Error _, [])] instead of killing the worker thread
-    (counted in {!Metrics.dispatch_failures}). *)
+    admission, never by silent discard, so every accepted item's
+    callback runs exactly once: {!drain} computes everything still
+    queued before the worker exits, an exception escaping the solver
+    resolves every affected item with [Computed (Error _, [])], and a
+    callback that raises is caught instead of killing the worker thread
+    (both counted in {!Metrics.dispatch_failures}). *)
 
 type t
 
@@ -25,9 +26,6 @@ type outcome =
   | Computed of (Octant.Estimate.t, string) result * Obs.Telemetry.Audit.entry list
       (** The audit list is empty unless the item asked for one. *)
   | Expired  (** Deadline passed while queued, or during the solve. *)
-
-type ticket
-(** An accepted item's claim on its future outcome. *)
 
 type compute = {
   run_batch :
@@ -63,13 +61,12 @@ val submit :
   obs:Octant.Pipeline.observations ->
   ?deadline:float ->
   want_audit:bool ->
+  on_done:(outcome -> unit) ->
   unit ->
-  [ `Queued of ticket | `Overloaded | `Closed ]
-(** [deadline] is absolute ([Unix.gettimeofday] clock). *)
-
-val await : ticket -> outcome
-(** Block until the worker resolves the ticket.  Returns immediately if
-    it already has. *)
+  [ `Queued | `Overloaded | `Closed ]
+(** [deadline] is absolute ([Unix.gettimeofday] clock).  [on_done] runs
+    once, on the worker thread, for a [`Queued] item only.  A refusal
+    counts in {!Metrics.overloaded}. *)
 
 val queue_depth : t -> int
 

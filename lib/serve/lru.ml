@@ -14,6 +14,9 @@ type ('k, 'v) t = {
   table : ('k, ('k, 'v) node) Hashtbl.t;
   mutable sentinel : ('k, 'v) node option; (* None until the first add *)
   lock : Mutex.t;
+  (* Only the result cache's shards mirror their traffic into the [serve]
+     telemetry counters; other instances keep their own tally alone. *)
+  mirror : bool;
   mutable hits : int;
   mutable misses : int;
   mutable evictions : int;
@@ -24,13 +27,13 @@ type ('k, 'v) t = {
   mutable invalidations : int;
 }
 
-let create ~capacity () =
-  if capacity < 0 then invalid_arg "Lru.create: negative capacity";
+let make ~mirror ~capacity =
   {
     cap = capacity;
     table = Hashtbl.create (max 16 capacity);
     sentinel = None;
     lock = Mutex.create ();
+    mirror;
     hits = 0;
     misses = 0;
     evictions = 0;
@@ -38,6 +41,11 @@ let create ~capacity () =
     invalidations = 0;
   }
 
+let create ~capacity () =
+  if capacity < 0 then invalid_arg "Lru.create: negative capacity";
+  make ~mirror:false ~capacity
+
+let count t c = if t.mirror then Obs.Telemetry.Counter.incr c
 let capacity t = t.cap
 
 let locked t f =
@@ -63,7 +71,7 @@ let find t k =
         match Hashtbl.find_opt t.table k with
         | Some node ->
             t.hits <- t.hits + 1;
-            Obs.Telemetry.Counter.incr Metrics.cache_hits;
+            count t Metrics.cache_hits;
             (match t.sentinel with
             | Some s ->
                 unlink node;
@@ -72,7 +80,7 @@ let find t k =
             Some node.value
         | None ->
             t.misses <- t.misses + 1;
-            Obs.Telemetry.Counter.incr Metrics.cache_misses;
+            count t Metrics.cache_misses;
             None)
 
 let mem t k = locked t (fun () -> Hashtbl.mem t.table k)
@@ -92,27 +100,33 @@ let add_locked t k v =
   | Some node ->
       node.value <- v;
       unlink node;
-      link_front sentinel node
+      link_front sentinel node;
+      None
   | None ->
-      if Hashtbl.length t.table >= t.cap then begin
-        let victim = sentinel.prev in
-        (* cap >= 1 and the table is at capacity, so the eviction
-           end is a real node, never the sentinel itself. *)
-        unlink victim;
-        Hashtbl.remove t.table victim.key;
-        t.evictions <- t.evictions + 1;
-        Obs.Telemetry.Counter.incr Metrics.cache_evictions
-      end;
+      let victim =
+        if Hashtbl.length t.table < t.cap then None
+        else begin
+          let victim = sentinel.prev in
+          (* cap >= 1 and the table is at capacity, so the eviction
+             end is a real node, never the sentinel itself. *)
+          unlink victim;
+          Hashtbl.remove t.table victim.key;
+          t.evictions <- t.evictions + 1;
+          count t Metrics.cache_evictions;
+          Some victim.key
+        end
+      in
       let node = { key = k; value = v; prev = sentinel; next = sentinel } in
       link_front sentinel node;
-      Hashtbl.replace t.table k node
+      Hashtbl.replace t.table k node;
+      victim
 
-let add t k v = if t.cap > 0 then locked t (fun () -> add_locked t k v)
+let add t k v = if t.cap > 0 then locked t (fun () -> add_locked t k v) else None
 
 let generation t = if t.cap = 0 then 0 else locked t (fun () -> t.generation)
 
 let add_at t ~gen k v =
-  if t.cap > 0 then locked t (fun () -> if t.generation = gen then add_locked t k v)
+  if t.cap > 0 then locked t (fun () -> if t.generation = gen then ignore (add_locked t k v))
 
 let invalidate_key t k =
   if t.cap = 0 then false
@@ -120,7 +134,7 @@ let invalidate_key t k =
     locked t (fun () ->
         t.generation <- t.generation + 1;
         t.invalidations <- t.invalidations + 1;
-        Obs.Telemetry.Counter.incr Metrics.cache_invalidations;
+        count t Metrics.cache_invalidations;
         match Hashtbl.find_opt t.table k with
         | Some node ->
             unlink node;
@@ -172,14 +186,15 @@ module Sharded = struct
     let n = if capacity = 0 then 1 else floor_pow2 (min shards capacity) in
     let base = capacity / n and rem = capacity mod n in
     {
-      shards = Array.init n (fun i -> create ~capacity:(base + if i < rem then 1 else 0) ());
+      shards =
+        Array.init n (fun i -> make ~mirror:true ~capacity:(base + if i < rem then 1 else 0));
       mask = n - 1;
     }
 
   let shard_count t = Array.length t.shards
   let shard_of t k = t.shards.(Hashtbl.hash k land t.mask)
   let find t k = find (shard_of t k) k
-  let add t k v = add (shard_of t k) k v
+  let add t k v = ignore (add (shard_of t k) k v)
   let mem t k = mem (shard_of t k) k
   let capacity t = Array.fold_left (fun acc s -> acc + capacity s) 0 t.shards
   let length t = Array.fold_left (fun acc s -> acc + length s) 0 t.shards

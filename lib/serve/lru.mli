@@ -9,9 +9,12 @@
     concurrently.
 
     Every instance keeps its own hit/miss/eviction tally (always on, used
-    by the [stats] wire frame), and mirrors each event into the [serve]
-    telemetry counters ({!Metrics.cache_hits} & co.), which record only
-    while telemetry is enabled.  The qcheck suite reconciles the two. *)
+    by the [stats] wire frame).  The result cache ({!Sharded}) also
+    mirrors each event into the [serve] telemetry counters
+    ({!Metrics.cache_hits} & co.), which record only while telemetry is
+    enabled; the qcheck suite reconciles the two.  Plain instances, such
+    as the daemon's session store, do not: their lookups are not cache
+    traffic. *)
 
 type ('k, 'v) t
 
@@ -26,10 +29,10 @@ val length : ('k, 'v) t -> int
 val find : ('k, 'v) t -> 'k -> 'v option
 (** Promotes on hit; counts a hit or a miss (unless disabled). *)
 
-val add : ('k, 'v) t -> 'k -> 'v -> unit
+val add : ('k, 'v) t -> 'k -> 'v -> 'k option
 (** Insert or overwrite (either way the key becomes most-recently-used);
     evicts the least-recently-used entry when the capacity would be
-    exceeded. *)
+    exceeded, and returns its key. *)
 
 val mem : ('k, 'v) t -> 'k -> bool
 (** Presence test with no promotion and no counter effect. *)

@@ -12,7 +12,6 @@ let rejected_connections = counter "rejected_connections"
 let bad_frames = counter "bad_frames"
 let encode_failures = counter "encode_failures"
 let loop_failures = counter "loop_failures"
-let pool_job_failures = counter "pool_job_failures"
 let cache_hits = counter "cache_hits"
 let cache_misses = counter "cache_misses"
 let cache_evictions = counter "cache_evictions"
@@ -42,6 +41,7 @@ let shard_bad_frames = shard_counter "bad_frames"
 let shard_connections = shard_counter "connections"
 let shard_rejected_connections = shard_counter "rejected_connections"
 let shard_loop_failures = shard_counter "loop_failures"
+let shard_encode_failures = shard_counter "encode_failures"
 
 let h_batch_size = Obs.Telemetry.Histogram.make ~unit_:"req" ~domain:"serve" "batch_size"
 let h_queue_depth = Obs.Telemetry.Histogram.make ~unit_:"req" ~domain:"serve" "queue_depth"

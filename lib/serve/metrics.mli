@@ -11,15 +11,15 @@
     [responses_error], [overloaded] (load shed at a full queue),
     [expired] (deadline passed before — or during — compute), [batches]
     (micro-batches dispatched), [dispatch_failures] (solver exceptions
-    caught in {!Batcher} dispatch; every affected ticket is resolved with
-    an error instead of wedging), [connections] (accepted),
+    caught in {!Batcher} dispatch, every affected item answered with an
+    error instead of wedging, plus reply callbacks that raised on the
+    batcher or session thread), [connections] (accepted),
     [rejected_connections] (closed at accept because the live-connection
     cap was reached), [bad_frames] (answered with a decode error),
     [encode_failures] (a reply the codec could not encode, answered with
     a fallback error), [loop_failures] (unexpected exceptions caught on
-    the event-loop thread; each costs at most one connection),
-    [pool_job_failures] (jobs that raised on a pool worker), and the
-    cache tallies mirrored by {!Lru}.
+    the event-loop thread; each costs at most one connection), and the
+    cache tallies mirrored by {!Lru.Sharded}.
 
     Histograms: [h_batch_size] (requests per dispatched batch),
     [h_queue_depth] (depth observed at admit), [h_request_s]
@@ -37,7 +37,6 @@ val rejected_connections : Obs.Telemetry.Counter.t
 val bad_frames : Obs.Telemetry.Counter.t
 val encode_failures : Obs.Telemetry.Counter.t
 val loop_failures : Obs.Telemetry.Counter.t
-val pool_job_failures : Obs.Telemetry.Counter.t
 val cache_hits : Obs.Telemetry.Counter.t
 val cache_misses : Obs.Telemetry.Counter.t
 val cache_evictions : Obs.Telemetry.Counter.t
@@ -86,6 +85,7 @@ val shard_bad_frames : Obs.Telemetry.Counter.t
 val shard_connections : Obs.Telemetry.Counter.t
 val shard_rejected_connections : Obs.Telemetry.Counter.t
 val shard_loop_failures : Obs.Telemetry.Counter.t
+val shard_encode_failures : Obs.Telemetry.Counter.t
 val h_batch_size : Obs.Telemetry.Histogram.t
 val h_queue_depth : Obs.Telemetry.Histogram.t
 val h_request_s : Obs.Telemetry.Histogram.t

@@ -1,33 +1,17 @@
-(* Event-driven serving core.
+(* The localization daemon: request handlers on a {!Reactor}.
 
-   One event-loop thread owns every socket: a readiness loop
-   ([Unix.select] over the listener, a self-pipe, and all connection
-   fds — all non-blocking) accepts, reads, frames, and parses inline,
-   and drains per-connection output queues on writability.  Nothing on
-   the loop thread ever blocks on a peer: a slow reader just leaves its
-   output queued; a slow writer (slow-loris) just leaves bytes in its
-   input accumulator.
-
-   Blocking work — awaiting a batcher ticket for a cache-missing
-   localize — runs on a fixed {!Pool} of systhreads.  The loop submits
-   the request to the batcher at decode time (so admission-time load
-   shedding and the overload reply stay immediate) and hands the ticket
-   to the pool; the worker awaits, updates the cache, encodes the reply
-   for the connection's codec, appends it to the connection's output
-   queue, and wakes the loop through the self-pipe.
-
-   Control frames (ping/stats/shutdown), cache hits, decode errors, and
-   overload replies are answered inline on the loop thread.  Replies to
-   pipelined localize requests on one connection may therefore arrive
-   out of request order; clients correlate by [id] (the bundled tests
-   and bench run request/reply in lockstep, where order is preserved
-   trivially). *)
+   The loop thread decodes every frame and answers control frames, cache
+   hits, decode errors and overload sheds inline.  A cache-missing
+   localize goes to the {!Batcher} with a completion callback, so the
+   batcher thread caches the result and sends the reply itself.
+   Streamed updates run on the session thread, one at a time in arrival
+   order.  Replies to pipelined requests on one connection may therefore
+   arrive out of request order; clients correlate by [id]. *)
 
 type config = {
   host : string;
   port : int;
   jobs : int option;
-  workers : int;
   max_queue : int;
   max_batch : int;
   batch_delay_s : float;
@@ -44,14 +28,13 @@ let default_config =
     host = "127.0.0.1";
     port = 0;
     jobs = None;
-    workers = 8;
     max_queue = 256;
     max_batch = 64;
     batch_delay_s = 0.002;
     cache_capacity = 1024;
     cache_shards = 8;
     max_frame_bytes = 1_048_576;
-    (* [Unix.select] is FD_SETSIZE-bound (1024 on Linux): one connection
+    (* The reactor's select(2) is FD_SETSIZE-bound (1024 on Linux): one connection
        fd past that limit and readiness polling dies with EINVAL.  Cap
        live connections well below it, leaving headroom for the
        listener, the self-pipe, and whatever else the process has
@@ -61,155 +44,88 @@ let default_config =
     session_capacity = 256;
   }
 
-(* Wire codec and framing state live in {!Framing}: every connection
-   starts sniffing — the first bytes either spell Protocol.Binary.magic
-   (-> binary frames) or anything else (-> JSON lines, replaying the
-   sniffed bytes). *)
-type conn = {
-  c_id : int;
-  c_fd : Unix.file_descr;
-  frame : Framing.t;          (* codec sniffing + frame reassembly *)
-  outq : string Queue.t;      (* encoded replies awaiting writability *)
-  mutable out_off : int;      (* bytes of the queue head already written *)
-  mutable c_closed : bool;
-}
+(* The session thread applies streamed updates one at a time, in arrival
+   order.  It is the only thread that touches the session store and its
+   base keys, so two deltas for one target can never interleave
+   mid-fold.  Updates do not share the batcher thread: a one-shot read
+   that recomputes there takes ~150 ms, and updates queued behind it
+   would wait that long. *)
+module Session_thread = struct
+  type t = {
+    jobs : (unit -> unit) Queue.t;
+    lock : Mutex.t;
+    ready : Condition.t;
+    mutable closed : bool;
+    mutable thread : Thread.t option;
+  }
+
+  let rec run t =
+    Mutex.lock t.lock;
+    while Queue.is_empty t.jobs && not t.closed do
+      Condition.wait t.ready t.lock
+    done;
+    let job = Queue.take_opt t.jobs in
+    Mutex.unlock t.lock;
+    match job with
+    | None -> ()
+    | Some job ->
+        (try job () with _ -> Obs.Telemetry.Counter.incr Metrics.dispatch_failures);
+        run t
+
+  let create () =
+    let t =
+      {
+        jobs = Queue.create ();
+        lock = Mutex.create ();
+        ready = Condition.create ();
+        closed = false;
+        thread = None;
+      }
+    in
+    t.thread <- Some (Thread.create run t);
+    t
+
+  let submit t job =
+    Mutex.lock t.lock;
+    Queue.push job t.jobs;
+    Condition.signal t.ready;
+    Mutex.unlock t.lock
+
+  (* Runs what is still queued, then joins.  Idempotent. *)
+  let stop t =
+    Mutex.lock t.lock;
+    t.closed <- true;
+    Condition.broadcast t.ready;
+    let thread = t.thread in
+    t.thread <- None;
+    Mutex.unlock t.lock;
+    Option.iter Thread.join thread
+end
 
 type t = {
   cfg : config;
   ctx : Octant.Pipeline.context;
-  listener : Unix.file_descr;
-  bound_port : int;
+  reactor : Reactor.t;
   batcher : Batcher.t;
   cache : (string, Octant.Estimate.t) Lru.Sharded.t;
-  sessions : Octant.Pipeline.Sessions.t;
-  (* Serializes every streamed update end to end: registry lookup,
-     fold/retire mutation of the per-target solver session, and the
-     base-key bookkeeping below move as one atomic step, so two deltas
-     for one target can never interleave mid-fold and the invalidation
-     always sees the key the session was opened under.  Updates are rare
-     next to localizes; one lock is correctness-first and cheap. *)
-  session_lock : Mutex.t;
-  session_keys : (string, string) Hashtbl.t;  (* target id -> base cache key *)
-  pool : Pool.t;
-  wake_r : Unix.file_descr;
-  wake_w : Unix.file_descr;
-  lock : Mutex.t; (* guards conns, every outq/out_off, next_conn *)
-  conns : (int, conn) Hashtbl.t;
-  mutable next_conn : int;
-  stopping : bool Atomic.t;  (* stop accepting and reading *)
-  flushing : bool Atomic.t;  (* exit the loop once output queues drain *)
-  shutdown_requested : bool Atomic.t;
-  stopped : bool Atomic.t;
-  mutable loop_thread : Thread.t option;
+  sessions : (string, Octant.Pipeline.Session.t) Lru.t;
+  session_keys : (string, string) Hashtbl.t; (* target id -> base cache key *)
+  session_thread : Session_thread.t;
+  (* Requests handed to the batcher or the session thread whose reply is
+     not queued yet: the drain waits for this to reach 0. *)
+  in_flight : int Atomic.t;
 }
 
-let port t = t.bound_port
+let port t = Reactor.port t.reactor
 let cache_stats t = Lru.Sharded.stats t.cache
 let queue_depth t = Batcher.queue_depth t.batcher
-
-let live_connections t =
-  Mutex.lock t.lock;
-  let n = Hashtbl.length t.conns in
-  Mutex.unlock t.lock;
-  n
-
-let request_shutdown t = Atomic.set t.shutdown_requested true
-
-(* Wake the select loop; the pipe is non-blocking, and a full pipe
-   already guarantees a pending wakeup. *)
-let wake t =
-  try ignore (Unix.write_substring t.wake_w "w" 0 1) with
-  | Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EPIPE | Unix.EBADF), _, _) -> ()
-  | Unix.Unix_error (Unix.EINTR, _, _) -> ()
+let live_connections t = Reactor.live_connections t.reactor
+let request_shutdown t = Reactor.request_shutdown t.reactor
+let wait t = Reactor.wait t.reactor
 
 (* ------------------------------------------------------------------ *)
 (* Replies                                                             *)
 (* ------------------------------------------------------------------ *)
-
-let encode_reply_for codec reply =
-  match codec with
-  | Framing.Binary -> Protocol.Binary.frame (Protocol.Binary.encode_reply reply)
-  | Framing.Sniffing | Framing.Json_lines -> Json.to_string reply ^ "\n"
-
-(* An unencodable reply (a pathological id or reason blowing a codec
-   length field) must never escape to the caller — on the loop thread it
-   would kill the event loop, on a pool worker it would silently drop
-   the client's answer.  Fall back to a minimal error both codecs are
-   guaranteed to accept. *)
-let encode_reply_safe codec reply =
-  try encode_reply_for codec reply
-  with _ ->
-    Obs.Telemetry.Counter.incr Metrics.encode_failures;
-    encode_reply_for codec (Protocol.error_reply ~id:Json.Null "reply encoding failed")
-
-(* Drain a connection's output queue as far as the kernel accepts.
-   Caller holds [t.lock]; the fd is non-blocking, so this never parks a
-   thread.  EINTR retries immediately (a signal mid-write must not kill
-   a reply); EAGAIN leaves the rest queued for the next writability
-   event.  Returns [true] on a hard write error — the caller decides
-   whether to close (loop thread) or to leave the corpse for the loop
-   to reap (any other thread: only the loop may close fds, else a
-   recycled descriptor number could alias a new connection). *)
-let drain_outq_locked conn =
-  let failed = ref false in
-  let continue = ref true in
-  while !continue do
-    match Queue.peek_opt conn.outq with
-    | None -> continue := false
-    | Some s -> (
-        let off = conn.out_off in
-        let len = String.length s - off in
-        match Unix.write_substring conn.c_fd s off len with
-        | n ->
-            if n = len then begin
-              ignore (Queue.pop conn.outq);
-              conn.out_off <- 0
-            end
-            else begin
-              conn.out_off <- off + n;
-              continue := false
-            end
-        | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-            continue := false
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-        | exception Unix.Unix_error _ ->
-            failed := true;
-            continue := false)
-  done;
-  !failed
-
-(* Append an encoded reply to a connection's output queue and push it
-   out right away if the socket accepts it — the fast path skips the
-   self-pipe/select hop entirely, which matters on few-core hosts where
-   every thread handoff costs a scheduling quantum.  Safe from any
-   thread; a connection that died in the meantime drops the reply
-   (exactly as the old blocking write to a closed socket did).  On
-   EAGAIN or a write error the loop is woken: its writability pass
-   finishes the job or observes the error and closes on the loop
-   thread. *)
-let enqueue_encoded t conn_id encoded =
-  Mutex.lock t.lock;
-  let need_wake =
-    match Hashtbl.find_opt t.conns conn_id with
-    | Some conn when not conn.c_closed ->
-        Queue.push encoded conn.outq;
-        let failed = drain_outq_locked conn in
-        failed || not (Queue.is_empty conn.outq)
-    | Some _ | None -> false
-  in
-  Mutex.unlock t.lock;
-  if need_wake then wake t
-
-let respond t conn reply =
-  enqueue_encoded t conn.c_id (encode_reply_safe (Framing.codec conn.frame) reply)
-
-(* ------------------------------------------------------------------ *)
-(* Request handling                                                    *)
-(* ------------------------------------------------------------------ *)
-
-(* The id of a frame that decoded as JSON but failed the shape check:
-   echo it back when present so the client can still correlate. *)
-let id_of_json json = Option.value ~default:Json.Null (Json.member "id" json)
 
 let percentile_of_snapshot snap q =
   let open Obs.Telemetry in
@@ -225,6 +141,7 @@ let stats_reply t =
   let c = Lru.Sharded.stats t.cache in
   let snap = Obs.Telemetry.snapshot () in
   let counter name = Json.Num (float_of_int (Obs.Telemetry.Counter.value name)) in
+  let sessions_live = Json.Num (float_of_int (Lru.length t.sessions)) in
   Json.Obj
     [
       ("status", Json.Str "stats");
@@ -239,14 +156,13 @@ let stats_reply t =
       ("rejected_connections", counter Metrics.rejected_connections);
       ("encode_failures", counter Metrics.encode_failures);
       ("loop_failures", counter Metrics.loop_failures);
-      ("pool_job_failures", counter Metrics.pool_job_failures);
       ("queue_depth", Json.Num (float_of_int (queue_depth t)));
       ("live_connections", Json.Num (float_of_int (live_connections t)));
-      ("sessions_live", Json.Num (float_of_int (Octant.Pipeline.Sessions.live t.sessions)));
+      ("sessions_live", sessions_live);
       ( "sessions",
         Json.Obj
           [
-            ("live", Json.Num (float_of_int (Octant.Pipeline.Sessions.live t.sessions)));
+            ("live", sessions_live);
             ("opened", counter Metrics.sessions_opened);
             ("evicted", counter Metrics.sessions_evicted);
             ("folds", counter Metrics.folds);
@@ -268,73 +184,79 @@ let stats_reply t =
       ("request_p99_ms", percentile_of_snapshot snap 0.99);
     ]
 
-(* Cache hits, shed loads, and admission all happen inline on the loop
-   thread (submit never blocks); only awaiting a queued ticket moves to
-   the pool. *)
-let handle_localize t conn (req : Protocol.localize) =
+let error_reply id reason =
+  Obs.Telemetry.Counter.incr Metrics.responses_error;
+  Protocol.error_reply ~id reason
+
+let ok_reply ?audit id ~cached est =
+  Obs.Telemetry.Counter.incr Metrics.responses_ok;
+  Protocol.ok_reply ~id ~cached ~audit est
+
+(* Count a request in; the result answers it and records its latency. *)
+let answerer t conn =
   let t0 = Unix.gettimeofday () in
   Obs.Telemetry.Counter.incr Metrics.requests;
-  let obs = Protocol.observations_of req in
-  let key = Protocol.cache_key obs in
-  (* Read the key's version tag before computing: if a streamed update
-     invalidates this key while the batcher works, the [add_at] below is
-     dropped instead of re-installing the stale reply. *)
-  let cache_gen = Lru.Sharded.generation t.cache key in
-  let codec = Framing.codec conn.frame in
-  let conn_id = conn.c_id in
-  let finish reply =
+  fun reply ->
     Obs.Telemetry.Histogram.observe Metrics.h_request_s (Unix.gettimeofday () -. t0);
-    enqueue_encoded t conn_id (encode_reply_safe codec reply)
-  in
-  let cached = if req.Protocol.want_audit then None else Lru.Sharded.find t.cache key in
-  match cached with
-  | Some est ->
-      Obs.Telemetry.Counter.incr Metrics.responses_ok;
-      finish (Protocol.ok_reply ~id:req.Protocol.id ~cached:true ~audit:None est)
-  | None -> (
-      let deadline =
-        match (req.Protocol.deadline_ms, t.cfg.default_deadline_ms) with
-        | Some ms, _ | None, Some ms -> Some (t0 +. (ms /. 1000.0))
-        | None, None -> None
-      in
-      match
-        Batcher.submit t.batcher ~obs ?deadline ~want_audit:req.Protocol.want_audit ()
-      with
-      | `Overloaded -> finish (Protocol.overloaded_reply ~id:req.Protocol.id)
-      | `Closed ->
-          Obs.Telemetry.Counter.incr Metrics.overloaded;
-          finish (Protocol.overloaded_reply ~id:req.Protocol.id)
-      | `Queued ticket ->
-          let job () =
-            let reply =
-              (* The client is owed exactly one reply; anything raising
-                 between here and [finish] must degrade to an error
-                 reply, never to silence. *)
-              try
-                match Batcher.await ticket with
-                | Batcher.Expired -> Protocol.expired_reply ~id:req.Protocol.id
-                | Batcher.Computed (Ok est, audit) ->
-                    Lru.Sharded.add_at t.cache ~gen:cache_gen key est;
-                    Obs.Telemetry.Counter.incr Metrics.responses_ok;
-                    let audit = if req.Protocol.want_audit then Some audit else None in
-                    Protocol.ok_reply ~id:req.Protocol.id ~cached:false ~audit est
-                | Batcher.Computed (Error reason, _) ->
-                    Obs.Telemetry.Counter.incr Metrics.responses_error;
-                    Protocol.error_reply ~id:req.Protocol.id reason
-              with e ->
-                Obs.Telemetry.Counter.incr Metrics.responses_error;
-                Protocol.error_reply ~id:req.Protocol.id
-                  (Printf.sprintf "internal error: %s" (Printexc.to_string e))
-            in
-            finish reply
-          in
-          (* The pool refuses only mid-shutdown, when reads have already
-             stopped; the stray decoded request is answered inline (the
-             await resolves during the drain). *)
-          if not (Pool.submit t.pool job) then job ())
+    Reactor.reply t.reactor conn reply
+
+(* Work answered later, on another thread.  It counts as in flight until
+   its reply is queued, and whatever raises on the way, the client still
+   gets exactly one reply. *)
+let admit t ~id answer compute =
+  Atomic.incr t.in_flight;
+  fun x ->
+    Fun.protect
+      ~finally:(fun () -> Atomic.decr t.in_flight)
+      (fun () ->
+        answer
+          (try compute x
+           with e -> error_reply id (Printf.sprintf "internal error: %s" (Printexc.to_string e))))
 
 (* ------------------------------------------------------------------ *)
-(* Streaming updates                                                   *)
+(* Localize                                                            *)
+(* ------------------------------------------------------------------ *)
+
+let handle_localize t conn (req : Protocol.localize) =
+  let answer = answerer t conn in
+  let id = req.Protocol.id in
+  if Reactor.draining t.reactor then answer (error_reply id "draining")
+  else begin
+    let obs = Protocol.observations_of req in
+    let key = Protocol.cache_key obs in
+    (* Read the key's version tag before computing: if a streamed update
+       invalidates this key while the batcher works, the [add_at] below is
+       dropped instead of re-installing the stale reply. *)
+    let cache_gen = Lru.Sharded.generation t.cache key in
+    let cached = if req.Protocol.want_audit then None else Lru.Sharded.find t.cache key in
+    match cached with
+    | Some est -> answer (ok_reply id ~cached:true est)
+    | None -> (
+        let deadline =
+          match (req.Protocol.deadline_ms, t.cfg.default_deadline_ms) with
+          | Some ms, _ | None, Some ms -> Some (Unix.gettimeofday () +. (ms /. 1000.0))
+          | None, None -> None
+        in
+        let on_done =
+          admit t ~id answer (function
+            | Batcher.Expired -> Protocol.expired_reply ~id
+            | Batcher.Computed (Ok est, audit) ->
+                Lru.Sharded.add_at t.cache ~gen:cache_gen key est;
+                let audit = if req.Protocol.want_audit then Some audit else None in
+                ok_reply ?audit id ~cached:false est
+            | Batcher.Computed (Error reason, _) -> error_reply id reason)
+        in
+        match
+          Batcher.submit t.batcher ~obs ?deadline ~want_audit:req.Protocol.want_audit ~on_done ()
+        with
+        | `Queued -> ()
+        | `Overloaded | `Closed ->
+            Atomic.decr t.in_flight;
+            answer (Protocol.overloaded_reply ~id))
+  end
+
+(* ------------------------------------------------------------------ *)
+(* Streaming updates (session thread)                                  *)
 (* ------------------------------------------------------------------ *)
 
 (* Drop the cached one-shot reply for the session's base observation:
@@ -348,413 +270,126 @@ let invalidate_session_key t target =
       ignore (Lru.Sharded.invalidate_key t.cache key);
       Obs.Telemetry.Counter.incr Metrics.invalidations
 
-(* Apply one update frame under [session_lock].  Replies are computed
-   from live session state — never the result cache — so [cached] is
-   always [false]. *)
+(* Replies are computed from live session state — never the result
+   cache — so [cached] is always [false]. *)
 let apply_update t (u : Protocol.update) =
-  let ok est =
-    Obs.Telemetry.Counter.incr Metrics.responses_ok;
-    Protocol.ok_reply ~id:u.Protocol.u_id ~cached:false ~audit:None est
-  in
-  let err reason =
-    Obs.Telemetry.Counter.incr Metrics.responses_error;
-    Protocol.error_reply ~id:u.Protocol.u_id reason
-  in
-  Mutex.lock t.session_lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock t.session_lock)
-    (fun () ->
-      try
-        match Protocol.base_observations_of u with
-        | Some obs ->
-            (* Open (or reset) the session.  The base estimate is
-               bit-identical to a one-shot localize over the same
-               observations, so the cached entry under this key — if any
-               — is still truthful and stays. *)
-            let session, est =
-              Octant.Pipeline.Session.create ~epoch:u.Protocol.u_epoch t.ctx obs
-            in
-            Obs.Telemetry.Counter.incr Metrics.sessions_opened;
-            (match Octant.Pipeline.Sessions.add t.sessions u.Protocol.u_target session with
-            | Some victim ->
-                Obs.Telemetry.Counter.incr Metrics.sessions_evicted;
-                Hashtbl.remove t.session_keys victim
-            | None -> ());
-            Hashtbl.replace t.session_keys u.Protocol.u_target (Protocol.cache_key obs);
+  let id = u.Protocol.u_id and target = u.Protocol.u_target in
+  try
+    match Protocol.base_observations_of u with
+    | Some obs -> (
+        (* Open (or reset) the session.  The base estimate is
+           bit-identical to a one-shot localize over the same
+           observations, so the cached entry under this key — if any —
+           is still truthful and stays. *)
+        let session, est = Octant.Pipeline.Session.create ~epoch:u.Protocol.u_epoch t.ctx obs in
+        Obs.Telemetry.Counter.incr Metrics.sessions_opened;
+        (match Lru.add t.sessions target session with
+        | Some victim ->
+            Obs.Telemetry.Counter.incr Metrics.sessions_evicted;
+            Hashtbl.remove t.session_keys victim
+        | None -> ());
+        Hashtbl.replace t.session_keys target (Protocol.cache_key obs);
+        match u.Protocol.u_retire_upto with
+        | Some upto ->
+            let est = Octant.Pipeline.Session.retire session ~upto_epoch:upto in
+            Obs.Telemetry.Counter.incr Metrics.retires;
+            invalidate_session_key t target;
+            ok_reply id ~cached:false est
+        | None -> ok_reply id ~cached:false est)
+    | None -> (
+        match Lru.find t.sessions target with
+        | None ->
+            (* The failover contract: the client (or the shard front
+               after a backend loss) replays from a base vector. *)
+            error_reply id ("unknown session " ^ target)
+        | Some session ->
+            let est = ref (Octant.Pipeline.Session.estimate session) in
+            let delta = Protocol.quantized_delta u in
+            if Array.length delta > 0 then begin
+              est :=
+                Octant.Pipeline.Session.fold session
+                  { Octant.Pipeline.Session.d_rtts = delta; d_epoch = u.Protocol.u_epoch };
+              Obs.Telemetry.Counter.incr Metrics.folds
+            end;
             (match u.Protocol.u_retire_upto with
             | Some upto ->
-                let est = Octant.Pipeline.Session.retire session ~upto_epoch:upto in
-                Obs.Telemetry.Counter.incr Metrics.retires;
-                invalidate_session_key t u.Protocol.u_target;
-                ok est
-            | None -> ok est)
-        | None -> (
-            match Octant.Pipeline.Sessions.find t.sessions u.Protocol.u_target with
-            | None ->
-                (* The failover contract: the client (or the shard front
-                   after a backend loss) replays from a base vector. *)
-                err ("unknown session " ^ u.Protocol.u_target)
-            | Some session ->
-                let est = ref (Octant.Pipeline.Session.estimate session) in
-                let delta = Protocol.quantized_delta u in
-                if Array.length delta > 0 then begin
-                  est :=
-                    Octant.Pipeline.Session.fold session
-                      { Octant.Pipeline.Session.d_rtts = delta; d_epoch = u.Protocol.u_epoch };
-                  Obs.Telemetry.Counter.incr Metrics.folds
-                end;
-                (match u.Protocol.u_retire_upto with
-                | Some upto ->
-                    est := Octant.Pipeline.Session.retire session ~upto_epoch:upto;
-                    Obs.Telemetry.Counter.incr Metrics.retires
-                | None -> ());
-                invalidate_session_key t u.Protocol.u_target;
-                ok !est)
-      with Invalid_argument reason -> err reason)
+                est := Octant.Pipeline.Session.retire session ~upto_epoch:upto;
+                Obs.Telemetry.Counter.incr Metrics.retires
+            | None -> ());
+            invalidate_session_key t target;
+            ok_reply id ~cached:false !est)
+  with Invalid_argument reason -> error_reply id reason
 
-(* Session creation runs a full solve; deltas run a fold.  Both belong
-   on the pool, not the loop thread. *)
 let handle_update t conn (u : Protocol.update) =
-  let t0 = Unix.gettimeofday () in
-  Obs.Telemetry.Counter.incr Metrics.requests;
-  let codec = Framing.codec conn.frame in
-  let conn_id = conn.c_id in
-  let job () =
-    let reply =
-      try apply_update t u
-      with e ->
-        Obs.Telemetry.Counter.incr Metrics.responses_error;
-        Protocol.error_reply ~id:u.Protocol.u_id
-          (Printf.sprintf "internal error: %s" (Printexc.to_string e))
-    in
-    Obs.Telemetry.Histogram.observe Metrics.h_request_s (Unix.gettimeofday () -. t0);
-    enqueue_encoded t conn_id (encode_reply_safe codec reply)
-  in
-  if not (Pool.submit t.pool job) then job ()
-
-let handle_request t conn = function
-  | Protocol.Ping -> respond t conn Protocol.pong_reply
-  | Protocol.Stats -> respond t conn (stats_reply t)
-  | Protocol.Shutdown ->
-      request_shutdown t;
-      respond t conn Protocol.draining_reply
-  | Protocol.Localize req -> handle_localize t conn req
-  | Protocol.Update u -> handle_update t conn u
-
-(* One reply per complete JSON frame; blank lines are ignored. *)
-let handle_json_frame t conn line =
-  let line =
-    let n = String.length line in
-    if n > 0 && line.[n - 1] = '\r' then String.sub line 0 (n - 1) else line
-  in
-  if String.trim line = "" then ()
+  let answer = answerer t conn in
+  let id = u.Protocol.u_id in
+  if Reactor.draining t.reactor then answer (error_reply id "draining")
   else
-    match Json.of_string line with
-    | Error e ->
-        Obs.Telemetry.Counter.incr Metrics.bad_frames;
-        respond t conn (Protocol.error_reply ~id:Json.Null (Printf.sprintf "bad frame: %s" e))
-    | Ok json -> (
-        match Protocol.parse_request json with
-        | Error e ->
-            Obs.Telemetry.Counter.incr Metrics.bad_frames;
-            respond t conn
-              (Protocol.error_reply ~id:(id_of_json json) (Printf.sprintf "bad request: %s" e))
-        | Ok req -> handle_request t conn req)
+    Session_thread.submit t.session_thread (admit t ~id answer (fun () -> apply_update t u))
 
-let handle_binary_frame t conn payload =
-  match Protocol.Binary.decode_request payload with
-  | Error e ->
+let on_request t conn = function
+  | Error reply ->
       Obs.Telemetry.Counter.incr Metrics.bad_frames;
-      respond t conn (Protocol.error_reply ~id:Json.Null (Printf.sprintf "bad request: %s" e))
-  | Ok req -> handle_request t conn req
-
-(* ------------------------------------------------------------------ *)
-(* Input framing                                                       *)
-(* ------------------------------------------------------------------ *)
-
-(* Sniffing, line/length reassembly, and oversized-frame discard all
-   live in {!Framing}; the server contributes the per-frame handlers
-   and the oversize error reply. *)
-let feed t conn data =
-  Framing.feed conn.frame ~max_frame_bytes:t.cfg.max_frame_bytes
-    ~on_json:(handle_json_frame t conn)
-    ~on_binary:(handle_binary_frame t conn)
-    ~on_oversize:(fun () ->
-      Obs.Telemetry.Counter.incr Metrics.bad_frames;
-      respond t conn
-        (Protocol.error_reply ~id:Json.Null
-           (Printf.sprintf "frame too large (max %d bytes)" t.cfg.max_frame_bytes)))
-    data
-
-(* ------------------------------------------------------------------ *)
-(* Event loop                                                          *)
-(* ------------------------------------------------------------------ *)
-
-let close_conn t conn =
-  Mutex.lock t.lock;
-  let was_open = not conn.c_closed in
-  if was_open then begin
-    conn.c_closed <- true;
-    Hashtbl.remove t.conns conn.c_id
-  end;
-  Mutex.unlock t.lock;
-  if was_open then try Unix.close conn.c_fd with Unix.Unix_error _ -> ()
-
-let drain_wake t =
-  let buf = Bytes.create 64 in
-  let rec go () =
-    match Unix.read t.wake_r buf 0 (Bytes.length buf) with
-    | n when n = Bytes.length buf -> go ()
-    | _ -> ()
-    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
-  in
-  go ()
-
-let accept_ready t =
-  let rec go () =
-    match Unix.accept ~cloexec:true t.listener with
-    | fd, _ ->
-        if Atomic.get t.stopping then begin
-          (try Unix.close fd with Unix.Unix_error _ -> ());
-          go ()
-        end
-        else if live_connections t >= t.cfg.max_connections then begin
-          (* Admitting past the cap would push [Unix.select] over
-             FD_SETSIZE and kill the loop with EINVAL — refusing one
-             client is strictly better than wedging all of them. *)
-          Obs.Telemetry.Counter.incr Metrics.rejected_connections;
-          (try Unix.close fd with Unix.Unix_error _ -> ());
-          go ()
-        end
-        else begin
-          (try Unix.set_nonblock fd with Unix.Unix_error _ -> ());
-          (try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ());
-          Obs.Telemetry.Counter.incr Metrics.connections;
-          Mutex.lock t.lock;
-          let conn_id = t.next_conn in
-          t.next_conn <- conn_id + 1;
-          Hashtbl.replace t.conns conn_id
-            {
-              c_id = conn_id;
-              c_fd = fd;
-              frame = Framing.create ();
-              outq = Queue.create ();
-              out_off = 0;
-              c_closed = false;
-            };
-          Mutex.unlock t.lock;
-          go ()
-        end
-    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
-    | exception Unix.Unix_error (Unix.ECONNABORTED, _, _) -> go ()
-    | exception Unix.Unix_error ((Unix.EINVAL | Unix.EBADF), _, _) ->
-        (* Listener shut down under us (stop). *)
-        ()
-  in
-  go ()
-
-let handle_readable t conn buf =
-  if not conn.c_closed then begin
-    let rec go () =
-      match Unix.read conn.c_fd buf 0 (Bytes.length buf) with
-      | 0 -> close_conn t conn
-      | n ->
-          feed t conn (Bytes.sub_string buf 0 n);
-          (* Keep reading while the kernel has more; EAGAIN ends the
-             burst without blocking. *)
-          if n = Bytes.length buf then go ()
-      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
-      | exception Unix.Unix_error _ -> close_conn t conn
-      | exception Sys_error _ -> close_conn t conn
-    in
-    go ()
-  end
-
-(* The loop-thread writability pass: same drain, but a hard error
-   closes the connection here (only the loop closes fds). *)
-let handle_writable t conn =
-  Mutex.lock t.lock;
-  let failed = if conn.c_closed then false else drain_outq_locked conn in
-  Mutex.unlock t.lock;
-  if failed then close_conn t conn
-
-(* How long the flushing phase of [stop] may spend pushing queued
-   replies at peers that have stopped reading before the remaining
-   output is abandoned and the sockets closed: a dead client must not
-   block daemon shutdown forever. *)
-let flush_timeout_s = 5.0
-
-let event_loop t =
-  let buf = Bytes.create 65536 in
-  let running = ref true in
-  let flush_deadline = ref None in
-  while !running do
-    (* The loop thread is the whole server: an exception escaping it
-       would leave the daemon alive but deaf — the exact wedge class
-       this design exists to kill.  A fault in per-connection handling
-       costs that connection; a fault anywhere else costs one tick. *)
-    (try
-       let stopping = Atomic.get t.stopping in
-       let rfds = ref [ t.wake_r ] in
-       if not stopping then rfds := t.listener :: !rfds;
-       let watched = ref [] in
-       let wfds = ref [] in
-       Mutex.lock t.lock;
-       Hashtbl.iter
-         (fun _ c ->
-           if not c.c_closed then begin
-             watched := c :: !watched;
-             if not stopping then rfds := c.c_fd :: !rfds;
-             if not (Queue.is_empty c.outq) then wfds := c.c_fd :: !wfds
-           end)
-         t.conns;
-       Mutex.unlock t.lock;
-       let r, w, _ =
-         try Unix.select !rfds !wfds [] 0.2 with
-         | Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
-         | Unix.Unix_error _ ->
-             (* e.g. EBADF from a fd closed mid-snapshot; don't die and
-                don't spin. *)
-             Obs.Telemetry.Counter.incr Metrics.loop_failures;
-             Thread.delay 0.05;
-             ([], [], [])
-       in
-       if List.memq t.wake_r r then drain_wake t;
-       if (not (Atomic.get t.stopping)) && List.memq t.listener r then accept_ready t;
-       List.iter
-         (fun c ->
-           try
-             if List.memq c.c_fd w then handle_writable t c;
-             if (not (Atomic.get t.stopping)) && List.memq c.c_fd r then
-               handle_readable t c buf
-           with _ ->
-             Obs.Telemetry.Counter.incr Metrics.loop_failures;
-             close_conn t c)
-         !watched
-     with _ ->
-       Obs.Telemetry.Counter.incr Metrics.loop_failures;
-       Thread.delay 0.01);
-    if Atomic.get t.flushing then begin
-      let now = Unix.gettimeofday () in
-      let deadline =
-        match !flush_deadline with
-        | Some d -> d
-        | None ->
-            let d = now +. flush_timeout_s in
-            flush_deadline := Some d;
-            d
-      in
-      Mutex.lock t.lock;
-      let pending =
-        Hashtbl.fold (fun _ c acc -> acc || not (Queue.is_empty c.outq)) t.conns false
-      in
-      Mutex.unlock t.lock;
-      if (not pending) || now >= deadline then running := false
-    end
-  done;
-  (* Loop is done: everything owed has been written (or the flush
-     deadline gave up on peers that stopped reading).  Close the
-     sockets. *)
-  Mutex.lock t.lock;
-  let remaining = Hashtbl.fold (fun _ c acc -> c :: acc) t.conns [] in
-  Hashtbl.reset t.conns;
-  List.iter (fun c -> c.c_closed <- true) remaining;
-  Mutex.unlock t.lock;
-  List.iter (fun c -> try Unix.close c.c_fd with Unix.Unix_error _ -> ()) remaining
+      Reactor.reply t.reactor conn reply
+  | Ok Protocol.Ping -> Reactor.reply t.reactor conn Protocol.pong_reply
+  | Ok Protocol.Stats -> Reactor.reply t.reactor conn (stats_reply t)
+  | Ok Protocol.Shutdown ->
+      request_shutdown t;
+      Reactor.reply t.reactor conn Protocol.draining_reply
+  | Ok (Protocol.Localize req) -> handle_localize t conn req
+  | Ok (Protocol.Update u) -> handle_update t conn u
 
 (* ------------------------------------------------------------------ *)
 (* Lifecycle                                                           *)
 (* ------------------------------------------------------------------ *)
 
 let start ?(config = default_config) ?compute ~ctx () =
-  if config.workers < 1 then invalid_arg "Server.start: workers < 1";
   if config.cache_shards < 1 then invalid_arg "Server.start: cache_shards < 1";
   if config.max_connections < 1 then invalid_arg "Server.start: max_connections < 1";
   if config.session_capacity < 1 then invalid_arg "Server.start: session_capacity < 1";
-  let listener = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
-  (try
-     Unix.setsockopt listener Unix.SO_REUSEADDR true;
-     Unix.bind listener (Unix.ADDR_INET (Unix.inet_addr_of_string config.host, config.port));
-     Unix.listen listener 128;
-     Unix.set_nonblock listener
-   with e ->
-     (try Unix.close listener with Unix.Unix_error _ -> ());
-     raise e);
-  let bound_port =
-    match Unix.getsockname listener with
-    | Unix.ADDR_INET (_, p) -> p
-    | Unix.ADDR_UNIX _ -> config.port
+  let reactor =
+    Reactor.create ~host:config.host ~port:config.port ~max_connections:config.max_connections
+      ~max_frame_bytes:config.max_frame_bytes
+      ~counters:
+        {
+          Reactor.connections = Metrics.connections;
+          rejected_connections = Metrics.rejected_connections;
+          loop_failures = Metrics.loop_failures;
+          encode_failures = Metrics.encode_failures;
+        }
+      ()
   in
   let compute =
     match compute with Some c -> c | None -> Batcher.compute_of_ctx ctx
   in
-  let batcher =
-    Batcher.create ~compute ?jobs:config.jobs ~max_queue:config.max_queue
-      ~max_batch:config.max_batch ~batch_delay_s:config.batch_delay_s ()
-  in
-  let wake_r, wake_w = Unix.pipe ~cloexec:true () in
-  Unix.set_nonblock wake_r;
-  Unix.set_nonblock wake_w;
   let t =
     {
       cfg = config;
       ctx;
-      listener;
-      bound_port;
-      batcher;
+      reactor;
+      batcher =
+        Batcher.create ~compute ?jobs:config.jobs ~max_queue:config.max_queue
+          ~max_batch:config.max_batch ~batch_delay_s:config.batch_delay_s ();
       cache = Lru.Sharded.create ~shards:config.cache_shards ~capacity:config.cache_capacity ();
-      sessions = Octant.Pipeline.Sessions.create ~capacity:config.session_capacity ();
-      session_lock = Mutex.create ();
+      sessions = Lru.create ~capacity:config.session_capacity ();
       session_keys = Hashtbl.create 32;
-      pool =
-        Pool.create
-          ~on_error:(fun _ -> Obs.Telemetry.Counter.incr Metrics.pool_job_failures)
-          ~workers:config.workers ();
-      wake_r;
-      wake_w;
-      lock = Mutex.create ();
-      conns = Hashtbl.create 32;
-      next_conn = 0;
-      stopping = Atomic.make false;
-      flushing = Atomic.make false;
-      shutdown_requested = Atomic.make false;
-      stopped = Atomic.make false;
-      loop_thread = None;
+      session_thread = Session_thread.create ();
+      in_flight = Atomic.make 0;
     }
   in
-  t.loop_thread <- Some (Thread.create event_loop t);
+  Reactor.run reactor
+    {
+      Reactor.on_request = on_request t;
+      in_flight = (fun () -> Atomic.get t.in_flight);
+      on_drained = ignore;
+    };
   t
 
-let wait t =
-  while not (Atomic.get t.shutdown_requested || Atomic.get t.stopped) do
-    Thread.delay 0.05
-  done
-
+(* The reactor drains first: intake closes while the batcher and the
+   session thread keep running, so every in-flight reply is queued and
+   flushed before the sockets close.  Both threads then stop with
+   nothing left to do. *)
 let stop t =
-  if not (Atomic.exchange t.stopping true) then begin
-    Atomic.set t.shutdown_requested true;
-    (* Phase 1: the loop stops accepting and reading — no new frames
-       will be decoded, so no new work enters after this wake. *)
-    wake t;
-    (* Phase 2: wait for every in-flight localize to produce its reply.
-       Pool workers block in Batcher.await; the batcher worker keeps
-       computing (drain has not been called), so every queued ticket
-       resolves and every reply lands in an output queue. *)
-    Pool.shutdown t.pool;
-    (* Phase 3: the batcher queue is empty (no submitters remain); close
-       it and join its worker. *)
-    Batcher.drain t.batcher;
-    (* Phase 4: flush the output queues, then the loop closes every
-       socket and exits. *)
-    Atomic.set t.flushing true;
-    wake t;
-    (match t.loop_thread with Some th -> Thread.join th | None -> ());
-    t.loop_thread <- None;
-    (try Unix.close t.listener with Unix.Unix_error _ -> ());
-    (try Unix.close t.wake_r with Unix.Unix_error _ -> ());
-    (try Unix.close t.wake_w with Unix.Unix_error _ -> ());
-    Atomic.set t.stopped true
-  end
+  Reactor.stop t.reactor;
+  Batcher.drain t.batcher;
+  Session_thread.stop t.session_thread

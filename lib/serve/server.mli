@@ -1,11 +1,9 @@
-(** Event-driven localization daemon.
+(** Event-driven localization daemon: request handlers on a {!Reactor}.
 
-    A single event-loop thread owns every socket: it multiplexes
-    readiness over the listener and all connection fds (all
-    non-blocking), accepts, reads, frames and parses requests inline,
-    and drains per-connection output queues on writability.  A slow or
-    stalled peer therefore costs one fd and some buffered bytes — never
-    a thread.
+    The reactor's loop thread owns every socket: it accepts, reads,
+    frames and decodes requests, and drains per-connection output queues
+    on writability.  A slow or stalled peer therefore costs one fd and
+    some buffered bytes — never a thread.
 
     Two wire codecs share one port, negotiated per connection by the
     first bytes sent: {!Protocol.Binary.magic} switches the connection
@@ -17,24 +15,23 @@
     quantized observation), decode errors, overload sheds, and control
     frames are answered inline on the loop thread.  A cache-missing
     localize is submitted to the {!Batcher} at decode time — so
-    admission control still sheds immediately — and a fixed {!Pool} of
-    worker threads awaits the tickets, caches results, and feeds encoded
-    replies back to the loop through the connection output queues.
-    Replies to pipelined requests on one connection may arrive out of
-    request order; clients correlate by [id].
+    admission control still sheds immediately — with a completion
+    callback: the batcher thread caches the result and sends the reply.
+    Streamed updates run on one session thread, in arrival order.  The
+    daemon runs three threads: the loop, the batcher and the session
+    thread.  Replies to pipelined requests on one connection may arrive
+    out of request order; clients correlate by [id].
 
-    {!stop} stops intake first, then waits for in-flight work
-    ({!Pool.shutdown}, then {!Batcher.drain}), then flushes every
-    output queue before closing the sockets — no accepted request is
-    dropped unanswered, except that a peer which has stopped reading
-    only gets a bounded flush window (a dead client must not block
-    shutdown forever). *)
+    {!stop} runs the reactor's drain: it stops accepting, answers every
+    frame that still arrives ([ok], or a ["draining"] error for new
+    work), waits for every in-flight reply and for 0.3 s of input
+    quiescence, then flushes output for at most 5 s — a dead client must
+    not block shutdown forever — and closes the sockets. *)
 
 type config = {
   host : string;              (** Bind address (default 127.0.0.1). *)
   port : int;                 (** 0 = ephemeral; read back with {!port}. *)
   jobs : int option;          (** Solver domains for dispatched batches. *)
-  workers : int;              (** Threads awaiting batcher tickets. *)
   max_queue : int;            (** Admission bound; beyond it requests shed. *)
   max_batch : int;            (** Items per dispatched batch. *)
   batch_delay_s : float;      (** Coalescing window after the first item. *)
@@ -45,7 +42,7 @@ type config = {
   max_connections : int;
       (** Live-connection cap; connections past it are closed at accept.
           Must stay safely below FD_SETSIZE (1024 on Linux) — one fd past
-          it and [Unix.select] fails outright. *)
+          it and select(2) fails outright. *)
   default_deadline_ms : float option;
       (** Applied when a request carries no deadline of its own. *)
   session_capacity : int;
@@ -56,8 +53,8 @@ type config = {
 }
 
 val default_config : config
-(** [{host = "127.0.0.1"; port = 0; jobs = None; workers = 8;
-     max_queue = 256; max_batch = 64; batch_delay_s = 0.002;
+(** [{host = "127.0.0.1"; port = 0; jobs = None; max_queue = 256;
+     max_batch = 64; batch_delay_s = 0.002;
      cache_capacity = 1024; cache_shards = 8;
      max_frame_bytes = 1_048_576; max_connections = 900;
      default_deadline_ms = None; session_capacity = 256}] *)
@@ -70,7 +67,7 @@ val start :
     overrides the solver calls the batcher dispatches — the fault
     -injection tests use it to make the solver raise or stall; it
     defaults to {!Batcher.compute_of_ctx}[ ctx].
-    @raise Invalid_argument on [workers < 1], [cache_shards < 1],
+    @raise Invalid_argument on [cache_shards < 1],
     [max_connections < 1], or [session_capacity < 1].
     @raise Unix.Unix_error when the bind fails. *)
 
@@ -92,5 +89,6 @@ val wait : t -> unit
     fires. *)
 
 val stop : t -> unit
-(** Graceful drain as described above.  Idempotent; safe to call from
-    any thread except a pool worker (it joins them). *)
+(** Graceful drain as described above, then the batcher and session
+    threads stop.  Idempotent; safe to call from any thread but the
+    server's own three. *)

@@ -1,11 +1,10 @@
-(* Sharded serving front.  See shard.mli for the architecture contract.
+(* Sharded serving front: request handlers on a {!Reactor}.  See
+   shard.mli for the architecture contract.
 
-   Single-threaded by construction: the event-loop thread owns every
-   socket, every queue, the pending table, and the ring — the front
-   never computes, so unlike {!Server} there is no worker pool and no
-   cross-thread reply path.  The mutex only makes the observer API
-   (stats, pending_count) safe to call from other threads; nothing on
-   the loop thread ever blocks on it while holding work. *)
+   Every handler runs on the reactor's loop thread — the front never
+   computes — so the pending table, the ring and the backend records are
+   only ever mutated there.  The mutex only makes the observer API
+   (stats, pending_count) safe to call from other threads. *)
 
 type config = {
   host : string;
@@ -87,25 +86,9 @@ end
 (* State                                                               *)
 (* ------------------------------------------------------------------ *)
 
-type slot = { mutable s_reply : string option }
-
-type client = {
-  cl_id : int;
-  cl_fd : Unix.file_descr;
-  cl_frame : Framing.t;
-  cl_outq : string Queue.t;
-  mutable cl_out_off : int;
-  cl_slots : slot Queue.t; (* replies owed, in request order *)
-  mutable cl_closed : bool;
-}
-
 type backend = {
   b_name : string; (* "host:port" *)
-  b_addr : Unix.sockaddr;
-  mutable b_fd : Unix.file_descr option; (* None = down, never re-dialed *)
-  mutable b_frame : Framing.t;
-  b_outq : string Queue.t;
-  mutable b_out_off : int;
+  mutable b_conn : Reactor.conn option; (* None = down, never re-dialed *)
   mutable b_inflight : int;
   mutable b_sent : int;
   mutable b_replies : int;
@@ -115,11 +98,9 @@ type backend = {
 
 type pending = {
   p_seq : int;
-  p_client : int;
-  p_slot : slot;
-  p_codec : Framing.codec; (* client codec at decode time *)
+  p_slot : Reactor.slot;   (* the client's reply, released in request order *)
   p_id : Json.t;           (* original id, restored on the way back *)
-  p_key : string;          (* ring routing key: the exact quantized observation *)
+  p_key : string;          (* ring routing key *)
   p_wire : string;         (* framed binary request carrying the seq id *)
   mutable p_attempts : int;
   mutable p_backend : string;
@@ -128,36 +109,22 @@ type pending = {
 
 type t = {
   cfg : config;
-  listener : Unix.file_descr;
-  bound_port : int;
-  wake_r : Unix.file_descr;
-  wake_w : Unix.file_descr;
+  reactor : Reactor.t;
   lock : Mutex.t; (* observer API only; all mutation is loop-thread *)
-  clients : (int, client) Hashtbl.t;
-  mutable next_client : int;
   backends : backend array;
   mutable ring : Ring.t;
   pending : (int, pending) Hashtbl.t;
   mutable next_seq : int;
-  stopping : bool Atomic.t;
-  flushing : bool Atomic.t;
-  shutdown_requested : bool Atomic.t;
-  stopped : bool Atomic.t;
-  mutable last_input : float; (* last client bytes seen; gates drain exit *)
-  mutable loop_thread : Thread.t option;
 }
 
-let port t = t.bound_port
+let port t = Reactor.port t.reactor
+let live_connections t = Reactor.live_connections t.reactor
+let request_shutdown t = Reactor.request_shutdown t.reactor
+let wait t = Reactor.wait t.reactor
 
 let pending_count t =
   Mutex.lock t.lock;
   let n = Hashtbl.length t.pending in
-  Mutex.unlock t.lock;
-  n
-
-let live_connections t =
-  Mutex.lock t.lock;
-  let n = Hashtbl.length t.clients in
   Mutex.unlock t.lock;
   n
 
@@ -169,7 +136,7 @@ let backend_stats t =
          (fun b ->
            {
              bs_name = b.b_name;
-             bs_up = b.b_fd <> None;
+             bs_up = Option.is_some b.b_conn;
              bs_inflight = b.b_inflight;
              bs_sent = b.b_sent;
              bs_replies = b.b_replies;
@@ -180,28 +147,6 @@ let backend_stats t =
   in
   Mutex.unlock t.lock;
   stats
-
-let request_shutdown t = Atomic.set t.shutdown_requested true
-
-let wake t =
-  try ignore (Unix.write_substring t.wake_w "w" 0 1) with
-  | Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EPIPE | Unix.EBADF), _, _) -> ()
-  | Unix.Unix_error (Unix.EINTR, _, _) -> ()
-
-(* ------------------------------------------------------------------ *)
-(* Encoding                                                            *)
-(* ------------------------------------------------------------------ *)
-
-let encode_reply_for codec reply =
-  match codec with
-  | Framing.Binary -> Protocol.Binary.frame (Protocol.Binary.encode_reply reply)
-  | Framing.Sniffing | Framing.Json_lines -> Json.to_string reply ^ "\n"
-
-let encode_reply_safe codec reply =
-  try encode_reply_for codec reply
-  with _ ->
-    Obs.Telemetry.Counter.incr Metrics.encode_failures;
-    encode_reply_for codec (Protocol.error_reply ~id:Json.Null "reply encoding failed")
 
 (* Restore the client's original id on a backend reply (the wire carried
    the internal sequence number).  Mirrors Protocol's convention: no
@@ -214,160 +159,54 @@ let restore_id p reply =
   | other -> other
 
 (* ------------------------------------------------------------------ *)
-(* Output queues (loop thread only)                                    *)
-(* ------------------------------------------------------------------ *)
-
-(* Drain as far as the kernel accepts.  [`Failed] on a hard error; the
-   caller decides what dies (a client conn, or a whole backend). *)
-let drain_queue fd outq get_off set_off =
-  let result = ref `Ok in
-  let continue = ref true in
-  while !continue do
-    match Queue.peek_opt outq with
-    | None -> continue := false
-    | Some s -> (
-        let off = get_off () in
-        let len = String.length s - off in
-        match Unix.write_substring fd s off len with
-        | n ->
-            if n = len then begin
-              ignore (Queue.pop outq);
-              set_off 0
-            end
-            else begin
-              set_off (off + n);
-              continue := false
-            end
-        | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-            continue := false
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-        | exception Unix.Unix_error _ ->
-            result := `Failed;
-            continue := false)
-  done;
-  !result
-
-let drain_client c =
-  if c.cl_closed then `Ok
-  else drain_queue c.cl_fd c.cl_outq (fun () -> c.cl_out_off) (fun o -> c.cl_out_off <- o)
-
-let close_client t c =
-  if not c.cl_closed then begin
-    Mutex.lock t.lock;
-    c.cl_closed <- true;
-    Hashtbl.remove t.clients c.cl_id;
-    Mutex.unlock t.lock;
-    try Unix.close c.cl_fd with Unix.Unix_error _ -> ()
-  end
-
-(* Release every in-order reply at the head of the slot queue into the
-   connection's output queue, then push. *)
-let flush_client t c =
-  if not c.cl_closed then begin
-    let continue = ref true in
-    while !continue do
-      match Queue.peek_opt c.cl_slots with
-      | Some { s_reply = Some encoded } ->
-          ignore (Queue.pop c.cl_slots);
-          Queue.push encoded c.cl_outq
-      | Some { s_reply = None } | None -> continue := false
-    done;
-    match drain_client c with `Failed -> close_client t c | `Ok -> ()
-  end
-
-let new_slot c =
-  let slot = { s_reply = None } in
-  Queue.push slot c.cl_slots;
-  slot
-
-let fill t c slot reply =
-  slot.s_reply <- Some (encode_reply_safe (Framing.codec c.cl_frame) reply);
-  flush_client t c
-
-(* ------------------------------------------------------------------ *)
 (* Pending requests: routing, re-fanning, failure                      *)
 (* ------------------------------------------------------------------ *)
-
-let backend_by_name t name = Array.find_opt (fun b -> b.b_name = name) t.backends
-
-let deliver t p reply =
-  match Hashtbl.find_opt t.clients p.p_client with
-  | Some c when not c.cl_closed ->
-      p.p_slot.s_reply <- Some (encode_reply_safe p.p_codec reply);
-      flush_client t c
-  | Some _ | None -> () (* client went away; the answer has no address *)
 
 let fail_pending t p reason =
   Mutex.lock t.lock;
   Hashtbl.remove t.pending p.p_seq;
   Mutex.unlock t.lock;
   Obs.Telemetry.Counter.incr Metrics.shard_errors;
-  deliver t p (Protocol.error_reply ~id:p.p_id reason)
+  Reactor.fill t.reactor p.p_slot (Protocol.error_reply ~id:p.p_id reason)
 
-(* Mutual recursion: sending can reveal a dead backend, whose loss
-   re-fans its pendings, which sends again — bounded by [max_attempts]
-   per pending and by the backend count (each loss removes one). *)
-let rec route_and_send t p =
+(* A send that fails only marks the backend connection; the loop then
+   closes it, and [backend_down] re-fans whatever was routed there —
+   this request included. *)
+let route_and_send t p =
   if p.p_attempts >= t.cfg.max_attempts then
     fail_pending t p "backend lost (retries exhausted)"
   else
-    match Ring.route t.ring p.p_key with
-    | None -> fail_pending t p "no backends available"
-    | Some name -> (
-        match backend_by_name t name with
-        | None | Some { b_fd = None; _ } ->
-            (* The ring only holds live backends; a miss here means the
-               loss path is mid-flight — treat as exhausted routing. *)
-            fail_pending t p "no backends available"
-        | Some b ->
-            p.p_attempts <- p.p_attempts + 1;
-            p.p_backend <- name;
-            Mutex.lock t.lock;
-            b.b_inflight <- b.b_inflight + 1;
-            b.b_sent <- b.b_sent + 1;
-            Mutex.unlock t.lock;
-            Obs.Telemetry.Counter.incr Metrics.shard_fanout;
-            Obs.Telemetry.Counter.incr b.b_sent_counter;
-            Queue.push p.p_wire b.b_outq;
-            backend_drain t b)
+    let owner name = Array.find_opt (fun b -> b.b_name = name) t.backends in
+    match Option.bind (Ring.route t.ring p.p_key) owner with
+    | Some ({ b_conn = Some conn; _ } as b) ->
+        p.p_attempts <- p.p_attempts + 1;
+        p.p_backend <- b.b_name;
+        Mutex.lock t.lock;
+        b.b_inflight <- b.b_inflight + 1;
+        b.b_sent <- b.b_sent + 1;
+        Mutex.unlock t.lock;
+        Obs.Telemetry.Counter.incr Metrics.shard_fanout;
+        Obs.Telemetry.Counter.incr b.b_sent_counter;
+        Reactor.send t.reactor conn p.p_wire
+    | Some { b_conn = None; _ } | None ->
+        (* The ring only holds live backends: this is an empty ring. *)
+        fail_pending t p "no backends available"
 
-and backend_drain t b =
-  match b.b_fd with
-  | None -> ()
-  | Some fd -> (
-      match drain_queue fd b.b_outq (fun () -> b.b_out_off) (fun o -> b.b_out_off <- o) with
-      | `Failed -> backend_down t b
-      | `Ok -> ())
-
-and backend_down t b =
-  match b.b_fd with
-  | None -> ()
-  | Some fd ->
-      Mutex.lock t.lock;
-      b.b_fd <- None;
-      b.b_inflight <- 0;
-      Mutex.unlock t.lock;
-      (try Unix.close fd with Unix.Unix_error _ -> ());
-      Queue.clear b.b_outq;
-      b.b_out_off <- 0;
-      b.b_frame <- Framing.create_binary ();
-      t.ring <- Ring.remove t.ring b.b_name;
-      Obs.Telemetry.Counter.incr Metrics.shard_backend_lost;
-      (* Re-fan everything that was awaiting this backend onto the
-         surviving ring, lowest sequence first (deterministic order). *)
-      let victims =
-        Hashtbl.fold
-          (fun _ p acc -> if p.p_backend = b.b_name then p :: acc else acc)
-          t.pending []
-        |> List.sort (fun a c -> compare a.p_seq c.p_seq)
-      in
-      List.iter
-        (fun p ->
-          if Hashtbl.mem t.pending p.p_seq then begin
-            Obs.Telemetry.Counter.incr Metrics.shard_refan;
-            route_and_send t p
-          end)
-        victims
+(* The ring drops the lost backend, and everything that was awaiting it
+   re-fans onto the survivors, lowest sequence first (deterministic
+   order). *)
+let backend_down t b =
+  Mutex.lock t.lock;
+  b.b_conn <- None;
+  b.b_inflight <- 0;
+  Mutex.unlock t.lock;
+  t.ring <- Ring.remove t.ring b.b_name;
+  Obs.Telemetry.Counter.incr Metrics.shard_backend_lost;
+  Hashtbl.fold (fun _ p acc -> if p.p_backend = b.b_name then p :: acc else acc) t.pending []
+  |> List.sort (fun a c -> compare a.p_seq c.p_seq)
+  |> List.iter (fun p ->
+         Obs.Telemetry.Counter.incr Metrics.shard_refan;
+         route_and_send t p)
 
 (* ------------------------------------------------------------------ *)
 (* Request handling                                                    *)
@@ -407,28 +246,24 @@ let stats_reply t =
       ("orphan_replies", counter_value Metrics.shard_orphan_replies);
     ]
 
-let dispatch_localize t c slot (req : Protocol.localize) =
+(* Forward one request to the backend that owns [key], re-encoded as a
+   binary frame whose id is the internal sequence number. *)
+let forward t slot ~id ~key with_id =
   Obs.Telemetry.Counter.incr Metrics.shard_requests;
-  if Atomic.get t.stopping then
-    fill t c slot (Protocol.error_reply ~id:req.Protocol.id "draining")
+  if Reactor.draining t.reactor then
+    Reactor.fill t.reactor slot (Protocol.error_reply ~id "draining")
   else begin
-    let key = Protocol.cache_key (Protocol.observations_of req) in
     let seq = t.next_seq in
     t.next_seq <- seq + 1;
-    let wire =
-      Protocol.Binary.frame
-        (Protocol.Binary.encode_request
-           (Protocol.Localize { req with Protocol.id = Json.Num (float_of_int seq) }))
-    in
     let p =
       {
         p_seq = seq;
-        p_client = c.cl_id;
         p_slot = slot;
-        p_codec = Framing.codec c.cl_frame;
-        p_id = req.Protocol.id;
+        p_id = id;
         p_key = key;
-        p_wire = wire;
+        p_wire =
+          Protocol.Binary.frame
+            (Protocol.Binary.encode_request (with_id (Json.Num (float_of_int seq))));
         p_attempts = 0;
         p_backend = "";
         p_t0 = Unix.gettimeofday ();
@@ -440,416 +275,58 @@ let dispatch_localize t c slot (req : Protocol.localize) =
     route_and_send t p
   end
 
-(* Streamed updates route by target id, not by observation signature:
-   every frame for one target lands on the same backend, which is where
-   that target's live session state is.  After a backend loss the ring
-   deterministically re-homes the target; session state does not move
-   with it, so a re-fanned (or first-after-loss) delta gets the
-   backend's "unknown session" error and the client replays from a base
-   vector — the documented failover contract, the same recovery as a
-   batch recompute. *)
-let dispatch_update t c slot (u : Protocol.update) =
-  Obs.Telemetry.Counter.incr Metrics.shard_requests;
-  if Atomic.get t.stopping then
-    fill t c slot (Protocol.error_reply ~id:u.Protocol.u_id "draining")
-  else begin
-    let seq = t.next_seq in
-    t.next_seq <- seq + 1;
-    let wire =
-      Protocol.Binary.frame
-        (Protocol.Binary.encode_request
-           (Protocol.Update { u with Protocol.u_id = Json.Num (float_of_int seq) }))
-    in
-    let p =
-      {
-        p_seq = seq;
-        p_client = c.cl_id;
-        p_slot = slot;
-        p_codec = Framing.codec c.cl_frame;
-        p_id = u.Protocol.u_id;
-        p_key = u.Protocol.u_target;
-        p_wire = wire;
-        p_attempts = 0;
-        p_backend = "";
-        p_t0 = Unix.gettimeofday ();
-      }
-    in
-    Mutex.lock t.lock;
-    Hashtbl.replace t.pending seq p;
-    Mutex.unlock t.lock;
-    route_and_send t p
-  end
-
-let handle_request t c slot = function
-  | Protocol.Ping -> fill t c slot Protocol.pong_reply
-  | Protocol.Stats -> fill t c slot (stats_reply t)
-  | Protocol.Shutdown ->
+(* Localizes route by observation signature.  Streamed updates route by
+   target id, so every frame for one target lands on the backend holding
+   its live session.  After a backend loss the ring re-homes the target;
+   session state does not move with it, so a re-fanned (or
+   first-after-loss) delta gets the backend's "unknown session" error
+   and the client replays from a base vector — the documented failover
+   contract, the same recovery as a batch recompute. *)
+let on_request t conn decoded =
+  let slot = Reactor.reserve t.reactor conn in
+  let answer = Reactor.fill t.reactor slot in
+  match decoded with
+  | Error reply ->
+      Obs.Telemetry.Counter.incr Metrics.shard_bad_frames;
+      answer reply
+  | Ok Protocol.Ping -> answer Protocol.pong_reply
+  | Ok Protocol.Stats -> answer (stats_reply t)
+  | Ok Protocol.Shutdown ->
       request_shutdown t;
-      fill t c slot Protocol.draining_reply
-  | Protocol.Localize req -> dispatch_localize t c slot req
-  | Protocol.Update u -> dispatch_update t c slot u
+      answer Protocol.draining_reply
+  | Ok (Protocol.Localize req) ->
+      forward t slot ~id:req.Protocol.id
+        ~key:(Protocol.cache_key (Protocol.observations_of req))
+        (fun id -> Protocol.Localize { req with Protocol.id })
+  | Ok (Protocol.Update u) ->
+      forward t slot ~id:u.Protocol.u_id ~key:u.Protocol.u_target (fun u_id ->
+          Protocol.Update { u with Protocol.u_id })
 
-let handle_client_json t c line =
-  let line =
-    let n = String.length line in
-    if n > 0 && line.[n - 1] = '\r' then String.sub line 0 (n - 1) else line
-  in
-  if String.trim line = "" then ()
-  else begin
-    let slot = new_slot c in
-    match Json.of_string line with
-    | Error e ->
-        Obs.Telemetry.Counter.incr Metrics.shard_bad_frames;
-        fill t c slot (Protocol.error_reply ~id:Json.Null (Printf.sprintf "bad frame: %s" e))
-    | Ok json -> (
-        match Protocol.parse_request json with
-        | Error e ->
-            Obs.Telemetry.Counter.incr Metrics.shard_bad_frames;
-            let id = Option.value ~default:Json.Null (Json.member "id" json) in
-            fill t c slot (Protocol.error_reply ~id (Printf.sprintf "bad request: %s" e))
-        | Ok req -> handle_request t c slot req)
-  end
-
-let handle_client_binary t c payload =
-  let slot = new_slot c in
-  match Protocol.Binary.decode_request payload with
-  | Error e ->
-      Obs.Telemetry.Counter.incr Metrics.shard_bad_frames;
-      fill t c slot (Protocol.error_reply ~id:Json.Null (Printf.sprintf "bad request: %s" e))
-  | Ok req -> handle_request t c slot req
-
-let feed_client t c data =
-  Framing.feed c.cl_frame ~max_frame_bytes:t.cfg.max_frame_bytes
-    ~on_json:(handle_client_json t c)
-    ~on_binary:(handle_client_binary t c)
-    ~on_oversize:(fun () ->
-      Obs.Telemetry.Counter.incr Metrics.shard_bad_frames;
-      let slot = new_slot c in
-      fill t c slot
-        (Protocol.error_reply ~id:Json.Null
-           (Printf.sprintf "frame too large (max %d bytes)" t.cfg.max_frame_bytes)))
-    data
-
-(* ------------------------------------------------------------------ *)
-(* Backend replies                                                     *)
-(* ------------------------------------------------------------------ *)
-
-let handle_backend_reply t b reply =
-  let seq =
-    match Json.member "id" reply with
-    | Some (Json.Num f) when Float.is_integer f -> Some (int_of_float f)
-    | _ -> None
-  in
-  match seq with
-  | None -> Obs.Telemetry.Counter.incr Metrics.shard_orphan_replies
-  | Some seq -> (
-      match Hashtbl.find_opt t.pending seq with
+let on_backend_reply t b = function
+  | Error _ ->
+      (* The reactor drops the corrupt connection; [backend_down] follows. *)
+      Obs.Telemetry.Counter.incr Metrics.shard_bad_frames
+  | Ok reply -> (
+      let owed =
+        match Json.member "id" reply with
+        | Some (Json.Num f) when Float.is_integer f -> Hashtbl.find_opt t.pending (int_of_float f)
+        | _ -> None
+      in
+      match owed with
       | None -> Obs.Telemetry.Counter.incr Metrics.shard_orphan_replies
       | Some p ->
           Mutex.lock t.lock;
-          Hashtbl.remove t.pending seq;
+          Hashtbl.remove t.pending p.p_seq;
           if b.b_inflight > 0 then b.b_inflight <- b.b_inflight - 1;
           b.b_replies <- b.b_replies + 1;
           Lat.observe b.b_lat (1000.0 *. (Unix.gettimeofday () -. p.p_t0));
           Mutex.unlock t.lock;
           Obs.Telemetry.Counter.incr Metrics.shard_replies;
-          deliver t p (restore_id p reply))
-
-let feed_backend t b data =
-  Framing.feed b.b_frame ~max_frame_bytes:t.cfg.max_frame_bytes
-    ~on_json:(fun _ -> ())
-    ~on_binary:(fun payload ->
-      match Protocol.Binary.decode_reply payload with
-      | Ok reply -> handle_backend_reply t b reply
-      | Error _ ->
-          (* An undecodable backend frame means the length-prefixed
-             stream is corrupt: every later frame boundary is suspect,
-             so correlation by id is no longer trustworthy.  Kill the
-             connection; the loss path re-fans its pendings. *)
-          Obs.Telemetry.Counter.incr Metrics.shard_bad_frames;
-          backend_down t b)
-    ~on_oversize:(fun () ->
-      Obs.Telemetry.Counter.incr Metrics.shard_bad_frames;
-      backend_down t b)
-    data
-
-let backend_readable t b buf =
-  match b.b_fd with
-  | None -> ()
-  | Some fd ->
-      let rec go () =
-        match b.b_fd with
-        | None -> ()
-        | Some _ -> (
-            match Unix.read fd buf 0 (Bytes.length buf) with
-            | 0 -> backend_down t b
-            | n ->
-                feed_backend t b (Bytes.sub_string buf 0 n);
-                if n = Bytes.length buf then go ()
-            | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
-            | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
-            | exception Unix.Unix_error _ -> backend_down t b
-            | exception Sys_error _ -> backend_down t b)
-      in
-      go ()
-
-(* ------------------------------------------------------------------ *)
-(* Event loop                                                          *)
-(* ------------------------------------------------------------------ *)
-
-let drain_wake t =
-  let buf = Bytes.create 64 in
-  let rec go () =
-    match Unix.read t.wake_r buf 0 (Bytes.length buf) with
-    | n when n = Bytes.length buf -> go ()
-    | _ -> ()
-    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
-  in
-  go ()
-
-let accept_ready t =
-  let rec go () =
-    match Unix.accept ~cloexec:true t.listener with
-    | fd, _ ->
-        if Atomic.get t.stopping then begin
-          (try Unix.close fd with Unix.Unix_error _ -> ());
-          go ()
-        end
-        else if live_connections t >= t.cfg.max_connections then begin
-          Obs.Telemetry.Counter.incr Metrics.shard_rejected_connections;
-          (try Unix.close fd with Unix.Unix_error _ -> ());
-          go ()
-        end
-        else begin
-          (try Unix.set_nonblock fd with Unix.Unix_error _ -> ());
-          (try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ());
-          Obs.Telemetry.Counter.incr Metrics.shard_connections;
-          Mutex.lock t.lock;
-          let id = t.next_client in
-          t.next_client <- id + 1;
-          Hashtbl.replace t.clients id
-            {
-              cl_id = id;
-              cl_fd = fd;
-              cl_frame = Framing.create ();
-              cl_outq = Queue.create ();
-              cl_out_off = 0;
-              cl_slots = Queue.create ();
-              cl_closed = false;
-            };
-          Mutex.unlock t.lock;
-          go ()
-        end
-    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
-    | exception Unix.Unix_error (Unix.ECONNABORTED, _, _) -> go ()
-    | exception Unix.Unix_error ((Unix.EINVAL | Unix.EBADF), _, _) -> ()
-  in
-  go ()
-
-let client_readable t c buf =
-  if not c.cl_closed then begin
-    let rec go () =
-      match Unix.read c.cl_fd buf 0 (Bytes.length buf) with
-      | 0 -> close_client t c
-      | n ->
-          t.last_input <- Unix.gettimeofday ();
-          feed_client t c (Bytes.sub_string buf 0 n);
-          if n = Bytes.length buf then go ()
-      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
-      | exception Unix.Unix_error _ -> close_client t c
-      | exception Sys_error _ -> close_client t c
-    in
-    go ()
-  end
-
-let flush_timeout_s = 5.0
-
-(* Quiescence window on client input before the drain or flush phase may
-   conclude.  Requests fully sent before stop() can still be in flight in
-   the kernel when the pending table momentarily reads empty; exiting at
-   that instant closes sockets with unread data, which resets the
-   connection and destroys the replies those requests are owed. *)
-let drain_grace_s = 0.3
-
-let event_loop t =
-  let buf = Bytes.create 65536 in
-  let running = ref true in
-  let drain_deadline = ref None in
-  let flush_deadline = ref None in
-  while !running do
-    (try
-       let stopping = Atomic.get t.stopping in
-       let flushing = Atomic.get t.flushing in
-       let rfds = ref [ t.wake_r ] in
-       if not stopping then rfds := t.listener :: !rfds;
-       let wfds = ref [] in
-       let watched_clients = ref [] in
-       Mutex.lock t.lock;
-       Hashtbl.iter
-         (fun _ c ->
-           if not c.cl_closed then begin
-             watched_clients := c :: !watched_clients;
-             (* Clients stay readable even while stopping: requests
-                already pipelined into the socket must be read and
-                answered (with "draining" errors) — abandoning them
-                unread turns the final close into a reset that also
-                destroys the replies they are owed. *)
-             rfds := c.cl_fd :: !rfds;
-             if not (Queue.is_empty c.cl_outq) then wfds := c.cl_fd :: !wfds
-           end)
-         t.clients;
-       Mutex.unlock t.lock;
-       let watched_backends = ref [] in
-       Array.iter
-         (fun b ->
-           match b.b_fd with
-           | Some fd ->
-               watched_backends := (b, fd) :: !watched_backends;
-               (* Backends stay readable through the drain phase: their
-                  replies are what empties the pending table. *)
-               if not flushing then rfds := fd :: !rfds;
-               if not (Queue.is_empty b.b_outq) then wfds := fd :: !wfds
-           | None -> ())
-         t.backends;
-       let r, w, _ =
-         try Unix.select !rfds !wfds [] 0.2 with
-         | Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
-         | Unix.Unix_error _ ->
-             Obs.Telemetry.Counter.incr Metrics.shard_loop_failures;
-             Thread.delay 0.05;
-             ([], [], [])
-       in
-       if List.memq t.wake_r r then drain_wake t;
-       if (not (Atomic.get t.stopping)) && List.memq t.listener r then accept_ready t;
-       List.iter
-         (fun (b, fd) ->
-           try
-             if List.memq fd w then backend_drain t b;
-             if (not flushing) && b.b_fd <> None && List.memq fd r then backend_readable t b buf
-           with _ ->
-             Obs.Telemetry.Counter.incr Metrics.shard_loop_failures;
-             backend_down t b)
-         !watched_backends;
-       List.iter
-         (fun c ->
-           try
-             if List.memq c.cl_fd w then begin
-               match drain_client c with `Failed -> close_client t c | `Ok -> ()
-             end;
-             if List.memq c.cl_fd r then client_readable t c buf
-           with _ ->
-             Obs.Telemetry.Counter.incr Metrics.shard_loop_failures;
-             close_client t c)
-         !watched_clients
-     with _ ->
-       Obs.Telemetry.Counter.incr Metrics.shard_loop_failures;
-       Thread.delay 0.01);
-    (* Drain phase: intake is closed, backends keep answering; once the
-       pending table empties (or the drain window runs out) the owed
-       remainder degrades to error replies — never silence. *)
-    if Atomic.get t.stopping && not (Atomic.get t.flushing) then begin
-      let now = Unix.gettimeofday () in
-      let deadline =
-        match !drain_deadline with
-        | Some d -> d
-        | None ->
-            let d = now +. t.cfg.drain_timeout_s in
-            drain_deadline := Some d;
-            d
-      in
-      if (Hashtbl.length t.pending = 0 && now -. t.last_input >= drain_grace_s)
-         || now >= deadline
-      then begin
-        let remaining =
-          Hashtbl.fold (fun _ p acc -> p :: acc) t.pending []
-          |> List.sort (fun a b -> compare a.p_seq b.p_seq)
-        in
-        List.iter (fun p -> fail_pending t p "draining") remaining;
-        Atomic.set t.flushing true
-      end
-    end;
-    if Atomic.get t.flushing then begin
-      let now = Unix.gettimeofday () in
-      let deadline =
-        match !flush_deadline with
-        | Some d -> d
-        | None ->
-            let d = now +. flush_timeout_s in
-            flush_deadline := Some d;
-            d
-      in
-      Mutex.lock t.lock;
-      let pending_out =
-        Hashtbl.fold (fun _ c acc -> acc || not (Queue.is_empty c.cl_outq)) t.clients false
-      in
-      Mutex.unlock t.lock;
-      if ((not pending_out) && now -. t.last_input >= drain_grace_s) || now >= deadline then
-        running := false
-    end
-  done;
-  (* Close every socket still open. *)
-  Mutex.lock t.lock;
-  let remaining = Hashtbl.fold (fun _ c acc -> c :: acc) t.clients [] in
-  Hashtbl.reset t.clients;
-  List.iter (fun c -> c.cl_closed <- true) remaining;
-  Mutex.unlock t.lock;
-  List.iter (fun c -> try Unix.close c.cl_fd with Unix.Unix_error _ -> ()) remaining;
-  Array.iter
-    (fun b ->
-      match b.b_fd with
-      | Some fd ->
-          b.b_fd <- None;
-          (try Unix.close fd with Unix.Unix_error _ -> ())
-      | None -> ())
-    t.backends
+          Reactor.fill t.reactor p.p_slot (restore_id p reply))
 
 (* ------------------------------------------------------------------ *)
 (* Lifecycle                                                           *)
 (* ------------------------------------------------------------------ *)
-
-let write_all fd s =
-  let n = String.length s in
-  let off = ref 0 in
-  while !off < n do
-    off := !off + Unix.write_substring fd s !off (n - !off)
-  done
-
-let connect_backend (host, port) =
-  let name = Printf.sprintf "%s:%d" host port in
-  let addr = Unix.ADDR_INET (Unix.inet_addr_of_string host, port) in
-  let fd_opt =
-    match Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 with
-    | fd -> (
-        try
-          Unix.connect fd addr;
-          Unix.setsockopt fd Unix.TCP_NODELAY true;
-          (* The magic is the first and only codec negotiation; after it
-             the connection speaks length-prefixed binary both ways. *)
-          write_all fd Protocol.Binary.magic;
-          Unix.set_nonblock fd;
-          Some fd
-        with Unix.Unix_error _ | Sys_error _ ->
-          (try Unix.close fd with Unix.Unix_error _ -> ());
-          None)
-    | exception Unix.Unix_error _ -> None
-  in
-  {
-    b_name = name;
-    b_addr = addr;
-    b_fd = fd_opt;
-    b_frame = Framing.create_binary ();
-    b_outq = Queue.create ();
-    b_out_off = 0;
-    b_inflight = 0;
-    b_sent = 0;
-    b_replies = 0;
-    b_lat = Lat.make ();
-    b_sent_counter =
-      Obs.Telemetry.Counter.make ~deterministic:false ~domain:"shard" ("sent:" ^ name);
-  }
 
 let start ?(config = default_config) () =
   if config.backends = [] then invalid_arg "Shard.start: no backends";
@@ -859,81 +336,72 @@ let start ?(config = default_config) () =
   let names = List.map (fun (h, p) -> Printf.sprintf "%s:%d" h p) config.backends in
   if List.length (List.sort_uniq String.compare names) <> List.length names then
     invalid_arg "Shard.start: duplicate backend";
-  let backends = Array.of_list (List.map connect_backend config.backends) in
-  let up_names =
-    Array.to_list backends
-    |> List.filter_map (fun b -> if b.b_fd <> None then Some b.b_name else None)
+  let reactor =
+    Reactor.create ~host:config.host ~port:config.port ~max_connections:config.max_connections
+      ~max_frame_bytes:config.max_frame_bytes
+      ~counters:
+        {
+          Reactor.connections = Metrics.shard_connections;
+          rejected_connections = Metrics.shard_rejected_connections;
+          loop_failures = Metrics.shard_loop_failures;
+          encode_failures = Metrics.shard_encode_failures;
+        }
+      ()
   in
-  let close_backends () =
-    Array.iter
-      (fun b ->
-        match b.b_fd with
-        | Some fd ->
-            b.b_fd <- None;
-            (try Unix.close fd with Unix.Unix_error _ -> ())
-        | None -> ())
-      backends
+  let backend name =
+    {
+      b_name = name;
+      b_conn = None;
+      b_inflight = 0;
+      b_sent = 0;
+      b_replies = 0;
+      b_lat = Lat.make ();
+      b_sent_counter =
+        Obs.Telemetry.Counter.make ~deterministic:false ~domain:"shard" ("sent:" ^ name);
+    }
   in
-  if up_names = [] then begin
-    close_backends ();
-    failwith "Shard.start: no backend reachable"
-  end;
-  let listener = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
-  (try
-     Unix.setsockopt listener Unix.SO_REUSEADDR true;
-     Unix.bind listener (Unix.ADDR_INET (Unix.inet_addr_of_string config.host, config.port));
-     Unix.listen listener 128;
-     Unix.set_nonblock listener
-   with e ->
-     (try Unix.close listener with Unix.Unix_error _ -> ());
-     close_backends ();
-     raise e);
-  let bound_port =
-    match Unix.getsockname listener with
-    | Unix.ADDR_INET (_, p) -> p
-    | Unix.ADDR_UNIX _ -> config.port
-  in
-  let wake_r, wake_w = Unix.pipe ~cloexec:true () in
-  Unix.set_nonblock wake_r;
-  Unix.set_nonblock wake_w;
   let t =
     {
       cfg = config;
-      listener;
-      bound_port;
-      wake_r;
-      wake_w;
+      reactor;
       lock = Mutex.create ();
-      clients = Hashtbl.create 32;
-      next_client = 0;
-      backends;
-      ring = Ring.make ~vnodes:config.vnodes up_names;
+      backends = Array.of_list (List.map backend names);
+      ring = Ring.make ~vnodes:config.vnodes [];
       pending = Hashtbl.create 64;
       next_seq = 0;
-      stopping = Atomic.make false;
-      flushing = Atomic.make false;
-      shutdown_requested = Atomic.make false;
-      stopped = Atomic.make false;
-      last_input = Unix.gettimeofday ();
-      loop_thread = None;
     }
   in
-  t.loop_thread <- Some (Thread.create event_loop t);
+  (* The magic is the first and only codec negotiation; after it each
+     backend connection speaks length-prefixed binary both ways. *)
+  List.iteri
+    (fun i addr ->
+      let b = t.backends.(i) in
+      b.b_conn <-
+        Reactor.connect reactor addr ~greeting:Protocol.Binary.magic
+          ~on_reply:(on_backend_reply t b) ~on_close:(fun () -> backend_down t b))
+    config.backends;
+  let up = List.filter (fun b -> Option.is_some b.b_conn) (Array.to_list t.backends) in
+  if List.is_empty up then begin
+    Reactor.stop reactor;
+    failwith "Shard.start: no backend reachable"
+  end;
+  t.ring <- Ring.make ~vnodes:config.vnodes (List.map (fun b -> b.b_name) up);
+  Reactor.run ~drain_timeout_s:config.drain_timeout_s reactor
+    {
+      Reactor.on_request = on_request t;
+      in_flight = (fun () -> pending_count t);
+      on_drained =
+        (fun () ->
+          (* What the backends did not answer in time degrades to an error
+             reply — never silence. *)
+          Hashtbl.fold (fun _ p acc -> p :: acc) t.pending []
+          |> List.sort (fun a b -> compare a.p_seq b.p_seq)
+          |> List.iter (fun p -> fail_pending t p "draining"));
+    };
   t
 
-let wait t =
-  while not (Atomic.get t.shutdown_requested || Atomic.get t.stopped) do
-    Thread.delay 0.05
-  done
-
 let stop t =
-  if not (Atomic.exchange t.stopping true) then begin
-    Atomic.set t.shutdown_requested true;
-    wake t;
-    (match t.loop_thread with Some th -> Thread.join th | None -> ());
-    t.loop_thread <- None;
-    (try Unix.close t.listener with Unix.Unix_error _ -> ());
-    (try Unix.close t.wake_r with Unix.Unix_error _ -> ());
-    (try Unix.close t.wake_w with Unix.Unix_error _ -> ());
-    Atomic.set t.stopped true
-  end
+  Reactor.stop t.reactor;
+  Mutex.lock t.lock;
+  Array.iter (fun b -> b.b_conn <- None) t.backends;
+  Mutex.unlock t.lock

@@ -9,9 +9,10 @@
     backend's result cache only holds its own key range and the
     aggregate cache capacity scales with the backend count.
 
-    The front is a single event-loop thread and never computes: it
-    decodes client frames (both codecs, sniffed per connection exactly
-    like the daemon), rewrites the request id to an internal sequence
+    The front is a set of request handlers on a {!Reactor}, the same
+    event loop the daemon runs on, and never computes: the loop decodes
+    client frames (both codecs, sniffed per connection exactly like the
+    daemon), the front rewrites the request id to an internal sequence
     number, fans the re-encoded binary frame to the owning backend, and
     on the backend's reply restores the original id and encodes for the
     client's codec.  {b Replies are delivered in request order per
@@ -29,7 +30,10 @@
 
     Control frames are answered by the front itself: [ping] and [stats]
     locally (stats describes the front and its backends), [shutdown]
-    starts the front's drain (backends keep running). *)
+    starts the front's drain (backends keep running).  The drain is the
+    reactor's, shared with the daemon: requests arriving after {!stop}
+    get ["draining"] errors, in-flight ones wait for their backend up to
+    [drain_timeout_s], then output flushes and the sockets close. *)
 
 type config = {
   host : string;                (** Bind address (default 127.0.0.1). *)
@@ -85,4 +89,4 @@ val wait : t -> unit
 val stop : t -> unit
 (** Stop intake, drain pending replies (bounded by [drain_timeout_s];
     the remainder get error replies), flush client output, close
-    everything.  Idempotent. *)
+    everything ({!Reactor.stop}).  Idempotent. *)

@@ -3,9 +3,12 @@
 
    - capacity is never exceeded, and contents match the model exactly
      after any operation sequence (so most-recently-used entries survive
-     eviction and the LRU entry is always the one evicted);
+     eviction), and every add reports the model's least-recently-used
+     key as its victim — what the daemon's session store counts and
+     forgets;
    - hits + misses + evictions reconcile with both the per-instance
-     stats and the serve-domain telemetry counters;
+     stats and, for the sharded result cache only, the serve-domain
+     telemetry counters;
    - a cached localization replayed through the cache equals a freshly
      computed one. *)
 
@@ -31,10 +34,11 @@ let model_add m cap k v =
       (if List.length entries > cap then List.filteri (fun i _ -> i < cap) entries else entries)
   end
 
-(* Eviction count for reconciliation: replay counting. *)
+(* Eviction count for reconciliation: replay counting.  Each add also
+   records its victim, the model's least-recently-used (last) entry. *)
 let run_model cap ops =
   let m = { entries = [] } in
-  let hits = ref 0 and misses = ref 0 and evictions = ref 0 in
+  let hits = ref 0 and misses = ref 0 and evictions = ref 0 and victims = ref [] in
   List.iter
     (fun op ->
       match op with
@@ -42,21 +46,33 @@ let run_model cap ops =
           if cap > 0 then
             match model_find m cap k with Some _ -> incr hits | None -> incr misses)
       | `Add (k, v) ->
-          if cap > 0 && (not (List.mem_assoc k m.entries)) && List.length m.entries >= cap
-          then incr evictions;
+          let victim =
+            if cap > 0 && (not (List.mem_assoc k m.entries)) && List.length m.entries >= cap
+            then begin
+              incr evictions;
+              Some (fst (List.nth m.entries (cap - 1)))
+            end
+            else None
+          in
+          victims := victim :: !victims;
           model_add m cap k v)
     ops;
-  (m, !hits, !misses, !evictions)
+  (m, !hits, !misses, !evictions, List.rev !victims)
 
+(* The instance, and the victim each add reported. *)
 let run_real cap ops =
   let c = Lru.create ~capacity:cap () in
-  List.iter
-    (fun op ->
-      match op with
-      | `Find k -> ignore (Lru.find c k)
-      | `Add (k, v) -> Lru.add c k v)
-    ops;
-  c
+  let victims =
+    List.filter_map
+      (fun op ->
+        match op with
+        | `Find k ->
+            ignore (Lru.find c k);
+            None
+        | `Add (k, v) -> Some (Lru.add c k v))
+      ops
+  in
+  (c, victims)
 
 let ops_gen =
   QCheck.Gen.(
@@ -80,8 +96,13 @@ let arb_case =
 let prop_model_equivalence =
   QCheck.Test.make ~count:300 ~name:"lru agrees with MRU-list model" arb_case
     (fun (cap, ops) ->
-      let c = run_real cap ops in
-      let m, hits, misses, evictions = run_model cap ops in
+      let c, victims = run_real cap ops in
+      let m, hits, misses, evictions, model_victims = run_model cap ops in
+      if victims <> model_victims then
+        QCheck.Test.fail_reportf "victims [%s] but model [%s]"
+          (String.concat ";" (List.map (function Some k -> string_of_int k | None -> "-") victims))
+          (String.concat ";"
+             (List.map (function Some k -> string_of_int k | None -> "-") model_victims));
       let s = Lru.stats c in
       if Lru.length c > cap then QCheck.Test.fail_reportf "capacity exceeded: %d > %d" (Lru.length c) cap;
       if s.Lru.size <> List.length m.entries then
@@ -105,7 +126,7 @@ let prop_model_equivalence =
 let prop_counts_reconcile =
   QCheck.Test.make ~count:100 ~name:"finds and adds reconcile with stats" arb_case
     (fun (cap, ops) ->
-      let c = run_real cap ops in
+      let c, _ = run_real cap ops in
       let s = Lru.stats c in
       let finds =
         List.length (List.filter (function `Find _ -> true | _ -> false) ops)
@@ -119,7 +140,9 @@ let prop_counts_reconcile =
            <= List.length (List.filter (function `Add _ -> true | _ -> false) ops))
 
 (* The telemetry mirror: the serve-domain counters advance by exactly the
-   per-instance deltas while collection is enabled. *)
+   result cache's own deltas while collection is enabled, and a plain
+   instance (the daemon's session store) leaves them alone — session
+   lookups are not cache traffic. *)
 let test_telemetry_mirror () =
   Octant.Telemetry.reset ();
   Octant.Telemetry.enable ();
@@ -128,7 +151,7 @@ let test_telemetry_mirror () =
       Octant.Telemetry.disable ();
       Octant.Telemetry.reset ())
     (fun () ->
-      let before =
+      let read () =
         ( Octant.Telemetry.Counter.value Octant_serve.Metrics.cache_hits,
           Octant.Telemetry.Counter.value Octant_serve.Metrics.cache_misses,
           Octant.Telemetry.Counter.value Octant_serve.Metrics.cache_evictions )
@@ -136,8 +159,15 @@ let test_telemetry_mirror () =
       let ops =
         [ `Add (1, 10); `Find 1; `Find 2; `Add (2, 20); `Add (3, 30); `Find 1; `Add (4, 40) ]
       in
-      let c = run_real 2 ops in
-      let s = Lru.stats c in
+      let before = read () in
+      ignore (run_real 2 ops);
+      Alcotest.(check bool) "plain instances count no cache traffic" true (read () = before);
+      let c = Lru.Sharded.create ~shards:1 ~capacity:2 () in
+      List.iter
+        (function
+          | `Find k -> ignore (Lru.Sharded.find c k) | `Add (k, v) -> Lru.Sharded.add c k v)
+        ops;
+      let s = Lru.Sharded.stats c in
       let b0, b1, b2 = before in
       Alcotest.(check int) "hits mirrored"
         (s.Lru.hits)
@@ -185,7 +215,7 @@ let test_cached_equals_fresh () =
   let key = Octant_serve.Protocol.cache_key obs in
   let cache = Lru.create ~capacity:8 () in
   let fresh = Octant.Pipeline.localize ctx obs in
-  Lru.add cache key fresh;
+  ignore (Lru.add cache key fresh);
   match Lru.find cache key with
   | None -> Alcotest.fail "cached estimate not found"
   | Some replayed ->
@@ -267,7 +297,7 @@ let test_sharded_shapes () =
 let test_invalidate_generation () =
   let c = Lru.create ~capacity:8 () in
   let g0 = Lru.generation c in
-  Lru.add c 1 100;
+  ignore (Lru.add c 1 100);
   Alcotest.(check int) "plain adds leave the generation alone" g0 (Lru.generation c);
   Alcotest.(check bool) "invalidating a resident key removes it" true
     (Lru.invalidate_key c 1);

@@ -869,6 +869,97 @@ let test_idle_connections () =
       Alcotest.(check int) "idle connections reaped on close" 0
         (Server.live_connections srv))
 
+(* ---- a peer that hangs up costs its connection, not the process ---- *)
+
+(* Regression: no server ignored SIGPIPE, so a client that pipelined
+   cached requests and closed without reading turned the server's next
+   reply into EPIPE, and the signal killed the process embedding the
+   server. *)
+let test_hangup_survival () =
+  let ctx, _, target_rtts = make_ctx () in
+  let rtts = target_rtts (Geo.Geodesy.coord ~lat:39.0 ~lon:(-97.0)) in
+  let config = { Server.default_config with Server.batch_delay_s = 0.0 } in
+  let srv = Server.start ~config ~ctx () in
+  Fun.protect
+    ~finally:(fun () -> Server.stop srv)
+    (fun () ->
+      let port = Server.port srv in
+      let fd, ic, oc = connect port in
+      ignore (roundtrip ic oc (localize_line ~id:"warm" rtts));
+      Unix.close fd;
+      (* Every frame below is a cache hit, answered inline. *)
+      let burst =
+        String.concat ""
+          (List.init 2000 (fun i -> localize_line ~id:(string_of_int i) rtts ^ "\n"))
+      in
+      for _ = 1 to 200 do
+        let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+        Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+        (try write_all fd burst with Unix.Unix_error _ -> ());
+        Unix.close fd
+      done;
+      let fd, ic, oc = connect port in
+      Alcotest.(check string) "ping answered after 200 hang-ups" "pong"
+        (Protocol.status_of (parse_reply (roundtrip ic oc {|{"op":"ping"}|})));
+      Unix.close fd)
+
+(* ---- stop drains what clients pipelined before it ---- *)
+
+(* Requests pipelined when [stop] is called are all answered ([ok] or an
+   explicit error), then the connection closes.  The daemon used to stop
+   reading at once and close with unread input, which reset the
+   connection and destroyed the replies it owed. *)
+let test_stop_drains_pipelined () =
+  let ctx, rng, target_rtts = make_ctx () in
+  let srv = Server.start ~ctx () in
+  let fd, ic, oc = connect (Server.port srv) in
+  Fun.protect
+    ~finally:(fun () -> Unix.close fd)
+    (fun () ->
+      let n = 64 in
+      for i = 0 to n - 1 do
+        let truth =
+          Geo.Geodesy.coord
+            ~lat:(Stats.Rng.uniform rng 34.0 44.0)
+            ~lon:(Stats.Rng.uniform rng (-112.0) (-82.0))
+        in
+        send oc (localize_line ~id:(string_of_int i) (target_rtts truth))
+      done;
+      let stopper = Thread.create (fun () -> Server.stop srv) () in
+      for i = 0 to n - 1 do
+        match input_line ic with
+        | raw ->
+            let status = Protocol.status_of (parse_reply raw) in
+            if status <> "ok" && status <> "error" then
+              Alcotest.failf "reply %d: unexpected status %S during drain" i status
+        | exception End_of_file ->
+            Alcotest.failf "connection closed with %d replies still owed" (n - i)
+      done;
+      (match input_line ic with
+      | _ -> Alcotest.fail "expected EOF after drain"
+      | exception End_of_file -> ());
+      Thread.join stopper)
+
+(* ---- a raising completion callback cannot unwind the batcher ---- *)
+
+let test_raising_callback () =
+  let ctx, _, target_rtts = make_ctx () in
+  let obs = obs_of_rtts (target_rtts (Geo.Geodesy.coord ~lat:38.5 ~lon:(-94.0))) in
+  let b =
+    Batcher.create ~compute:(Batcher.compute_of_ctx ctx) ~max_queue:4 ~max_batch:1
+      ~batch_delay_s:0.0 ()
+  in
+  let ran = Atomic.make 0 in
+  let submit on_done =
+    match Batcher.submit b ~obs ~want_audit:false ~on_done () with
+    | `Queued -> ()
+    | `Overloaded | `Closed -> Alcotest.fail "submit refused"
+  in
+  submit (fun _ -> failwith "callback fault");
+  submit (fun _ -> Atomic.incr ran);
+  Batcher.drain b;
+  Alcotest.(check int) "the next item still resolves" 1 (Atomic.get ran)
+
 let suite =
   [
     ( "serve",
@@ -894,5 +985,10 @@ let suite =
           test_connection_cap;
         Alcotest.test_case "slow-loris client does not stall others" `Quick test_slow_loris;
         Alcotest.test_case "idle connections cost nothing" `Quick test_idle_connections;
+        Alcotest.test_case "a peer that hangs up does not kill the process" `Quick
+          test_hangup_survival;
+        Alcotest.test_case "stop drains pipelined requests" `Quick test_stop_drains_pipelined;
+        Alcotest.test_case "a raising reply callback does not unwind the batcher" `Quick
+          test_raising_callback;
       ] );
   ]

@@ -20,7 +20,6 @@ module Protocol = Octant_serve.Protocol
 module Server = Octant_serve.Server
 module Pipeline = Octant.Pipeline
 module Session = Octant.Pipeline.Session
-module Sessions = Octant.Pipeline.Sessions
 module World = Test_support.World
 
 let same_estimate (a : Octant.Estimate.t) (b : Octant.Estimate.t) =
@@ -173,28 +172,6 @@ let test_out_of_order_epochs_and_retire () =
       if c.Octant.Constr.epoch <= 3 then
         Alcotest.failf "constraint with epoch %d survived retire <= 3" c.Octant.Constr.epoch)
     log
-
-(* ---- bounded session registry ---- *)
-
-let test_sessions_registry () =
-  let ctx = Lazy.force fixture_ctx in
-  let fresh () = fst (Session.create ctx (Lazy.force fixture_base)) in
-  let reg = Sessions.create ~capacity:2 () in
-  Alcotest.(check (option string)) "first insert fits" None (Sessions.add reg "a" (fresh ()));
-  Alcotest.(check (option string)) "second insert fits" None (Sessions.add reg "b" (fresh ()));
-  (* Touch "a" so "b" is the LRU victim. *)
-  Alcotest.(check bool) "find touches recency" true (Sessions.find reg "a" <> None);
-  Alcotest.(check (option string)) "third insert evicts the LRU" (Some "b")
-    (Sessions.add reg "c" (fresh ()));
-  Alcotest.(check bool) "evicted session is gone" true (Sessions.find reg "b" = None);
-  Alcotest.(check int) "live stays at capacity" 2 (Sessions.live reg);
-  (* Re-inserting a live id replaces in place: no eviction. *)
-  Alcotest.(check (option string)) "replace does not evict" None
-    (Sessions.add reg "c" (fresh ()));
-  Alcotest.(check int) "replace keeps occupancy" 2 (Sessions.live reg);
-  Sessions.remove reg "a";
-  Alcotest.(check int) "remove shrinks occupancy" 1 (Sessions.live reg);
-  Alcotest.(check bool) "removed session is gone" true (Sessions.find reg "a" = None)
 
 (* ---- golden stream trace ---- *)
 
@@ -462,8 +439,6 @@ let suite =
           test_parity_vs_batch_jobs;
         Alcotest.test_case "out-of-order epochs, duplicate deltas, retire accounting" `Quick
           test_out_of_order_epochs_and_retire;
-        Alcotest.test_case "bounded session registry evicts LRU" `Quick
-          test_sessions_registry;
         Alcotest.test_case "golden stream trace" `Quick test_stream_golden;
         Alcotest.test_case "daemon update path: both codecs mirror a live session" `Slow
           test_stream_e2e_codecs;
