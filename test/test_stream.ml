@@ -173,6 +173,31 @@ let test_out_of_order_epochs_and_retire () =
         Alcotest.failf "constraint with epoch %d survived retire <= 3" c.Octant.Constr.epoch)
     log
 
+(* ---- bounded session registry ---- *)
+
+(* The daemon and [octant_cli stream] keep sessions in a plain [Lru]
+   keyed by target id; [add] names the victim so the daemon can count it
+   and forget its base key. *)
+let test_sessions_registry () =
+  let ctx = Lazy.force fixture_ctx in
+  let fresh () = fst (Session.create ctx (Lazy.force fixture_base)) in
+  let reg = Octant_serve.Lru.create ~capacity:2 () in
+  let add id = Octant_serve.Lru.add reg id (fresh ()) in
+  let live () = Octant_serve.Lru.length reg in
+  Alcotest.(check (option string)) "first insert fits" None (add "a");
+  Alcotest.(check (option string)) "second insert fits" None (add "b");
+  (* Touch "a" so "b" is the LRU victim. *)
+  Alcotest.(check bool) "find touches recency" true (Octant_serve.Lru.find reg "a" <> None);
+  Alcotest.(check (option string)) "third insert evicts the LRU" (Some "b") (add "c");
+  Alcotest.(check bool) "evicted session is gone" true (Octant_serve.Lru.find reg "b" = None);
+  Alcotest.(check int) "live stays at capacity" 2 (live ());
+  (* Re-inserting a live id replaces in place: no eviction. *)
+  Alcotest.(check (option string)) "replace does not evict" None (add "c");
+  Alcotest.(check int) "replace keeps occupancy" 2 (live ());
+  ignore (Octant_serve.Lru.invalidate_key reg "a");
+  Alcotest.(check int) "remove shrinks occupancy" 1 (live ());
+  Alcotest.(check bool) "removed session is gone" true (Octant_serve.Lru.find reg "a" = None)
+
 (* ---- golden stream trace ---- *)
 
 let golden_path = "golden/stream_golden.txt"
@@ -439,6 +464,8 @@ let suite =
           test_parity_vs_batch_jobs;
         Alcotest.test_case "out-of-order epochs, duplicate deltas, retire accounting" `Quick
           test_out_of_order_epochs_and_retire;
+        Alcotest.test_case "bounded session registry evicts LRU" `Quick
+          test_sessions_registry;
         Alcotest.test_case "golden stream trace" `Quick test_stream_golden;
         Alcotest.test_case "daemon update path: both codecs mirror a live session" `Slow
           test_stream_e2e_codecs;
