@@ -14,9 +14,6 @@ type ('k, 'v) t = {
   table : ('k, ('k, 'v) node) Hashtbl.t;
   mutable sentinel : ('k, 'v) node option; (* None until the first add *)
   lock : Mutex.t;
-  (* Only the result cache's shards mirror their traffic into the [serve]
-     telemetry counters; other instances keep their own tally alone. *)
-  mirror : bool;
   mutable hits : int;
   mutable misses : int;
   mutable evictions : int;
@@ -27,13 +24,13 @@ type ('k, 'v) t = {
   mutable invalidations : int;
 }
 
-let make ~mirror ~capacity =
+let create ~capacity () =
+  if capacity < 0 then invalid_arg "Lru.create: negative capacity";
   {
     cap = capacity;
     table = Hashtbl.create (max 16 capacity);
     sentinel = None;
     lock = Mutex.create ();
-    mirror;
     hits = 0;
     misses = 0;
     evictions = 0;
@@ -41,11 +38,6 @@ let make ~mirror ~capacity =
     invalidations = 0;
   }
 
-let create ~capacity () =
-  if capacity < 0 then invalid_arg "Lru.create: negative capacity";
-  make ~mirror:false ~capacity
-
-let count t c = if t.mirror then Obs.Telemetry.Counter.incr c
 let capacity t = t.cap
 
 let locked t f =
@@ -71,7 +63,6 @@ let find t k =
         match Hashtbl.find_opt t.table k with
         | Some node ->
             t.hits <- t.hits + 1;
-            count t Metrics.cache_hits;
             (match t.sentinel with
             | Some s ->
                 unlink node;
@@ -80,7 +71,6 @@ let find t k =
             Some node.value
         | None ->
             t.misses <- t.misses + 1;
-            count t Metrics.cache_misses;
             None)
 
 let mem t k = locked t (fun () -> Hashtbl.mem t.table k)
@@ -112,7 +102,6 @@ let add_locked t k v =
           unlink victim;
           Hashtbl.remove t.table victim.key;
           t.evictions <- t.evictions + 1;
-          count t Metrics.cache_evictions;
           Some victim.key
         end
       in
@@ -126,7 +115,8 @@ let add t k v = if t.cap > 0 then locked t (fun () -> add_locked t k v) else Non
 let generation t = if t.cap = 0 then 0 else locked t (fun () -> t.generation)
 
 let add_at t ~gen k v =
-  if t.cap > 0 then locked t (fun () -> if t.generation = gen then ignore (add_locked t k v))
+  if t.cap > 0 then locked t (fun () -> if t.generation = gen then add_locked t k v else None)
+  else None
 
 let invalidate_key t k =
   if t.cap = 0 then false
@@ -134,7 +124,6 @@ let invalidate_key t k =
     locked t (fun () ->
         t.generation <- t.generation + 1;
         t.invalidations <- t.invalidations + 1;
-        count t Metrics.cache_invalidations;
         match Hashtbl.find_opt t.table k with
         | Some node ->
             unlink node;
@@ -186,15 +175,26 @@ module Sharded = struct
     let n = if capacity = 0 then 1 else floor_pow2 (min shards capacity) in
     let base = capacity / n and rem = capacity mod n in
     {
-      shards =
-        Array.init n (fun i -> make ~mirror:true ~capacity:(base + if i < rem then 1 else 0));
+      shards = Array.init n (fun i -> create ~capacity:(base + if i < rem then 1 else 0) ());
       mask = n - 1;
     }
 
   let shard_count t = Array.length t.shards
   let shard_of t k = t.shards.(Hashtbl.hash k land t.mask)
-  let find t k = find (shard_of t k) k
-  let add t k v = ignore (add (shard_of t k) k v)
+
+  (* The result cache mirrors its traffic into the [serve] telemetry
+     counters, read off each operation's result; a disabled cache (the
+     only way a shard has capacity 0) counts nothing. *)
+  let mirror s c = if s.cap > 0 then Obs.Telemetry.Counter.incr c
+  let evicted = function Some _ -> Obs.Telemetry.Counter.incr Metrics.cache_evictions | None -> ()
+
+  let find t k =
+    let s = shard_of t k in
+    let r = find s k in
+    mirror s (if Option.is_some r then Metrics.cache_hits else Metrics.cache_misses);
+    r
+
+  let add t k v = evicted (add (shard_of t k) k v)
   let mem t k = mem (shard_of t k) k
   let capacity t = Array.fold_left (fun acc s -> acc + capacity s) 0 t.shards
   let length t = Array.fold_left (fun acc s -> acc + length s) 0 t.shards
@@ -202,8 +202,12 @@ module Sharded = struct
   (* Generation tags are per shard; read and re-check on the same key so
      the tag travels with the shard that actually stores it. *)
   let generation t k = generation (shard_of t k)
-  let add_at t ~gen k v = add_at (shard_of t k) ~gen k v
-  let invalidate_key t k = invalidate_key (shard_of t k) k
+  let add_at t ~gen k v = evicted (add_at (shard_of t k) ~gen k v)
+
+  let invalidate_key t k =
+    let s = shard_of t k in
+    mirror s Metrics.cache_invalidations;
+    invalidate_key s k
 
   let stats t =
     Array.fold_left

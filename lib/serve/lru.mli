@@ -12,8 +12,8 @@
     by the [stats] wire frame).  The result cache ({!Sharded}) also
     mirrors each event into the [serve] telemetry counters
     ({!Metrics.cache_hits} & co.), which record only while telemetry is
-    enabled; the qcheck suite reconciles the two.  Plain instances, such
-    as the daemon's session store, do not: their lookups are not cache
+    enabled; the qcheck suite reconciles the two.  Plain instances never
+    touch telemetry, so the daemon's session lookups are not cache
     traffic. *)
 
 type ('k, 'v) t
@@ -41,7 +41,7 @@ val generation : ('k, 'v) t -> int
 (** Current version tag (0 for a disabled cache).  Read it {e before}
     computing a value destined for {!add_at}. *)
 
-val add_at : ('k, 'v) t -> gen:int -> 'k -> 'v -> unit
+val add_at : ('k, 'v) t -> gen:int -> 'k -> 'v -> 'k option
 (** {!add}, but dropped if an {!invalidate_key} has bumped the generation
     since [gen] was read — closes the race where a reply computed from
     pre-update state would be cached after the update invalidated it. *)

@@ -51,13 +51,14 @@ type t = {
 }
 
 (* How long the flush may push queued replies at peers that stopped
-   reading: a dead client must not block shutdown forever. *)
+   reading, or wait out peers that keep sending: no client can block
+   shutdown forever. *)
 let flush_timeout_s = 5.0
 
-(* Input quiescence the drain and the flush wait for.  Requests fully
-   sent before [stop] can still sit in the kernel when nothing reads as
-   in flight; closing at that instant resets the connection with unread
-   data, which destroys the replies already queued on it. *)
+(* Input quiescence the flush waits for.  Requests fully sent before
+   [stop] can still sit in the kernel when nothing reads as in flight;
+   closing at that instant resets the connection with unread data, which
+   destroys the replies already queued on it. *)
 let quiet_s = 0.3
 
 (* A peer that hangs up turns our next write into EPIPE; with SIGPIPE at
@@ -392,20 +393,22 @@ let output_pending t =
 
 (* The drain, once [stop] is called: intake closes, in-flight work
    finishes (or the window runs out and [on_drained] answers the rest),
-   input goes quiet, output flushes (bounded), and the loop ends. *)
+   then input goes quiet and output flushes, and the loop ends.  The
+   flush window bounds the quiescence wait too, so a client that never
+   stops sending cannot hold the loop open. *)
 let advance t handler ~drain_timeout_s phase =
   let now = Unix.gettimeofday () in
-  let quiet = now -. t.last_input >= quiet_s in
   match phase with
   | Serving -> Some (if Atomic.get t.stopping then Draining (now +. drain_timeout_s) else Serving)
   | Draining deadline ->
-      if (handler.in_flight () = 0 && quiet) || now >= deadline then begin
+      if handler.in_flight () = 0 || now >= deadline then begin
         (try handler.on_drained ()
          with _ -> Obs.Telemetry.Counter.incr t.counters.loop_failures);
         Some (Flushing (now +. flush_timeout_s))
       end
       else Some phase
   | Flushing deadline ->
+      let quiet = now -. t.last_input >= quiet_s in
       if ((not (output_pending t)) && quiet) || now >= deadline then None else Some phase
 
 let run_loop t ~drain_timeout_s handler =

@@ -26,8 +26,9 @@
       answers it: [ok], or a ["draining"] error once {!draining} holds;
     - wait until [in_flight] reads 0 or [drain_timeout_s] runs out, then
       call [on_drained] to answer whatever is still owed;
-    - wait for 0.3 s without client input;
-    - flush output for at most 5 s, then close every socket. *)
+    - flush output and wait for 0.3 s without client input, both within
+      at most 5 s, so a client that keeps sending cannot hold the stop
+      open; then close every socket. *)
 
 type t
 type conn

@@ -24,9 +24,10 @@
 
     {!stop} runs the reactor's drain: it stops accepting, answers every
     frame that still arrives ([ok], or a ["draining"] error for new
-    work), waits for every in-flight reply and for 0.3 s of input
-    quiescence, then flushes output for at most 5 s — a dead client must
-    not block shutdown forever — and closes the sockets. *)
+    work), waits for every in-flight reply, then flushes output until
+    0.3 s pass without input, for at most 5 s — a dead client, or one
+    that never stops sending, must not block shutdown forever — and
+    closes the sockets. *)
 
 type config = {
   host : string;              (** Bind address (default 127.0.0.1). *)

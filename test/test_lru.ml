@@ -304,11 +304,11 @@ let test_invalidate_generation () =
   Alcotest.(check bool) "entry gone" true (Lru.find c 1 = None);
   Alcotest.(check bool) "generation bumped" true (Lru.generation c > g0);
   (* Stale insert: gen read before the invalidation must be dropped. *)
-  Lru.add_at c ~gen:g0 1 111;
+  ignore (Lru.add_at c ~gen:g0 1 111);
   Alcotest.(check bool) "stale add_at is dropped" true (Lru.find c 1 = None);
   (* Current insert: gen read after the invalidation lands. *)
   let g1 = Lru.generation c in
-  Lru.add_at c ~gen:g1 1 222;
+  ignore (Lru.add_at c ~gen:g1 1 222);
   Alcotest.(check (option int)) "current add_at lands" (Some 222) (Lru.find c 1);
   (* Absent key: nothing removed, but the generation still bumps (the
      in-flight compute for that key must still be dropped) and the
@@ -322,7 +322,7 @@ let test_invalidate_generation () =
   let off = Lru.create ~capacity:0 () in
   Alcotest.(check int) "disabled cache sits at generation 0" 0 (Lru.generation off);
   Alcotest.(check bool) "disabled invalidate is a no-op" false (Lru.invalidate_key off 1);
-  Lru.add_at off ~gen:0 1 1;
+  ignore (Lru.add_at off ~gen:0 1 1);
   Alcotest.(check bool) "disabled add_at stays empty" true (Lru.find off 1 = None);
   Alcotest.(check int) "disabled cache counts no invalidations" 0
     (Lru.stats off).Lru.invalidations

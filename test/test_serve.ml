@@ -940,6 +940,40 @@ let test_stop_drains_pipelined () =
       | exception End_of_file -> ());
       Thread.join stopper)
 
+(* The drain waits for input to go quiet only inside its bounded flush
+   window.  A client pinging every 50 ms through the whole stop still has
+   its pings answered, and stop returns once the window closes instead of
+   waiting for a quiet spell that never comes. *)
+let test_stop_bounded_under_input () =
+  let ctx, _, _ = make_ctx () in
+  let srv = Server.start ~ctx () in
+  let fd, ic, oc = connect (Server.port srv) in
+  Fun.protect
+    ~finally:(fun () -> Unix.close fd)
+    (fun () ->
+      let stopping = Atomic.make false and pongs_in_drain = Atomic.make 0 in
+      let pinger =
+        Thread.create
+          (fun () ->
+            try
+              while true do
+                let reply = parse_reply (roundtrip ic oc {|{"op":"ping"}|}) in
+                if Protocol.status_of reply = "pong" && Atomic.get stopping then
+                  Atomic.incr pongs_in_drain;
+                Thread.delay 0.05
+              done
+            with _ -> ())
+          ()
+      in
+      Thread.delay 0.2;
+      Atomic.set stopping true;
+      let t0 = Unix.gettimeofday () in
+      Server.stop srv;
+      let dt = Unix.gettimeofday () -. t0 in
+      Thread.join pinger;
+      if dt > 6.5 then Alcotest.failf "stop took %.1f s while a client kept sending" dt;
+      Alcotest.(check bool) "pings answered during the drain" true (Atomic.get pongs_in_drain > 0))
+
 (* ---- a raising completion callback cannot unwind the batcher ---- *)
 
 let test_raising_callback () =
@@ -988,6 +1022,8 @@ let suite =
         Alcotest.test_case "a peer that hangs up does not kill the process" `Quick
           test_hangup_survival;
         Alcotest.test_case "stop drains pipelined requests" `Quick test_stop_drains_pipelined;
+        Alcotest.test_case "stop returns while a client keeps sending" `Quick
+          test_stop_bounded_under_input;
         Alcotest.test_case "a raising reply callback does not unwind the batcher" `Quick
           test_raising_callback;
       ] );
