@@ -8,11 +8,10 @@
      dune exec bench/main.exe ablation   -- per-mechanism ablation
      dune exec bench/main.exe timing     -- end-to-end solution times
      dune exec bench/main.exe adversary  -- error vs f under colluding Byzantine landmarks
-     dune exec bench/main.exe refine     -- adaptive landmark admission, error/clips vs budget
      dune exec bench/main.exe stream     -- persistent sessions: incremental folds vs re-solves
      dune exec bench/main.exe batch      -- multicore batch engine, sequential vs N domains
      dune exec bench/main.exe shard      -- planet substrate + sharded multi-daemon serving
-     dune exec bench/main.exe region     -- region backends: exact vs grid vs hybrid prefilter
+     dune exec bench/main.exe region     -- region backends: exact vs hybrid prefilter
      dune exec bench/main.exe geom       -- clip kernels: buffer vs list reference, alloc/op
      dune exec bench/main.exe micro      -- Bechamel micro-benchmarks
 
@@ -318,13 +317,12 @@ let batch () =
 (* ------------------------------------------------------------------ *)
 
 (* The pluggable region backends on the batch workload: exact (the
-   default), grid (raster), and hybrid (exact clips behind a bbox +
-   occupancy-grid prefilter).  Tracks per-backend solve wall, the
-   fraction of piece-pair clips the hybrid prefilter skips, and the
-   accuracy cost relative to exact — the numbers that decide when each
-   backend wins. *)
+   default) and hybrid (exact clips behind a bbox + occupancy-grid
+   prefilter).  Tracks per-backend solve wall, the fraction of piece-pair
+   clips the hybrid prefilter skips, and the accuracy cost relative to
+   exact — the numbers that decide when hybrid wins. *)
 let region_bench () =
-  banner "REGION: pluggable region backends (exact | grid | hybrid)";
+  banner "REGION: pluggable region backends (exact | hybrid)";
   let bench_t0 = Emit.now () in
   let deployment = Netsim.Deployment.make ~seed ~n_hosts () in
   let bridge = Eval.Bridge.create deployment in
@@ -357,7 +355,6 @@ let region_bench () =
   let specs =
     [
       Geo.Region_backend.Exact;
-      Geo.Region_backend.Grid { resolution = Geo.Region_backend.default_grid_resolution };
       Geo.Region_backend.Hybrid { cells = Geo.Region_backend.default_hybrid_cells };
     ]
   in
@@ -1217,221 +1214,6 @@ let shard_bench () =
     ~rows:(List.rev !rows) "BENCH_shard.json"
 
 (* ------------------------------------------------------------------ *)
-(* Adaptive refinement (--landmark-budget / --refine) *)
-(* ------------------------------------------------------------------ *)
-
-(* Acceptance thresholds, asserted here and re-checked by CI's jq pass
-   over BENCH_refine.json: the parity row (budget = every landmark,
-   admitted in round one) must be bit-identical to the unbudgeted solver;
-   the default anytime config must hold its median error within 1.15x of
-   the full-landmark solve while cutting clip work per target by at least
-   25%. *)
-let refine_max_default_error_ratio = 1.15
-let refine_max_default_clips_ratio = 0.75
-
-let refine_bench () =
-  banner "REFINE: adaptive landmark admission, error and clip work vs budget";
-  let bench_t0 = Emit.now () in
-  let deployment = Netsim.Deployment.make ~seed ~n_hosts () in
-  let bridge = Eval.Bridge.create deployment in
-  let n = Eval.Bridge.host_count bridge in
-  let n_lm = n / 2 in
-  let lm_set = Array.init n_lm Fun.id in
-  let landmarks = Eval.Bridge.landmarks_for bridge ~exclude:(-1) lm_set in
-  let inter = Eval.Bridge.inter_rtt_for bridge lm_set in
-  let n_targets = n - n_lm in
-  let obs =
-    Octant.Parallel.seq_init n_targets (fun i ->
-        Eval.Bridge.observations bridge ~landmark_indices:lm_set ~target:(n_lm + i))
-  in
-  let truths = Array.init n_targets (fun i -> Eval.Bridge.position bridge (n_lm + i)) in
-  let ctx = Octant.Pipeline.prepare ~landmarks ~inter_landmark_rtt_ms:inter () in
-  Printf.printf "# %d fixed landmarks, %d targets, jobs=1 per row\n%!" n_lm n_targets;
-  let wall f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  let clip_work () =
-    let snap = Octant.Telemetry.snapshot () in
-    List.fold_left
-      (fun acc c ->
-        if
-          c.Octant.Telemetry.c_domain = "clip"
-          && (c.Octant.Telemetry.c_name = "inter" || c.Octant.Telemetry.c_name = "diff")
-        then acc + c.Octant.Telemetry.c_value
-        else acc)
-      0 snap.Octant.Telemetry.counters
-  in
-  (* One measured row: localize every target sequentially under [refine]
-     (None = the unbudgeted baseline), clip counters fresh per row. *)
-  let run refine =
-    Octant.Telemetry.reset ();
-    Octant.Telemetry.enable ();
-    let rctx = Octant.Pipeline.with_refine ctx refine in
-    let results, t =
-      wall (fun () ->
-          Array.map
-            (fun o ->
-              match refine with
-              | None -> (Octant.Pipeline.localize ~undns:Eval.Bridge.undns rctx o, None)
-              | Some _ ->
-                  let est, stats =
-                    Octant.Pipeline.localize_refined ~undns:Eval.Bridge.undns rctx o
-                  in
-                  (est, Some stats))
-            obs)
-    in
-    Octant.Telemetry.disable ();
-    (results, t, clip_work ())
-  in
-  let errors results =
-    Array.of_list
-      (List.mapi
-         (fun i (est, _) -> Octant.Estimate.error_miles est truths.(i))
-         (Array.to_list results))
-  in
-  let same (a : Octant.Estimate.t) (b : Octant.Estimate.t) =
-    a.Octant.Estimate.point = b.Octant.Estimate.point
-    && a.Octant.Estimate.point_plane = b.Octant.Estimate.point_plane
-    && a.Octant.Estimate.area_km2 = b.Octant.Estimate.area_km2
-    && a.Octant.Estimate.top_weight = b.Octant.Estimate.top_weight
-    && a.Octant.Estimate.cells_used = b.Octant.Estimate.cells_used
-    && a.Octant.Estimate.constraints_used = b.Octant.Estimate.constraints_used
-    && a.Octant.Estimate.target_height_ms = b.Octant.Estimate.target_height_ms
-  in
-  (* Baseline: every landmark, no refinement loop. *)
-  let base_results, base_t, base_clips = run None in
-  let base_errs = errors base_results in
-  let base_clips_per_target = float_of_int base_clips /. float_of_int n_targets in
-  Printf.printf
-    "  %-12s %6.2fs   median %6.1f mi  p90 %6.1f mi   %7.0f clips/target\n%!" "unbudgeted"
-    base_t (Stats.Sample.median base_errs)
-    (Stats.Sample.percentile 90.0 base_errs)
-    base_clips_per_target;
-  (* Parity row: the full budget admitted in round one must reproduce the
-     baseline bit for bit — the invariant the property suite pins on
-     small worlds, re-checked here on the bench deployment. *)
-  let parity_cfg =
-    {
-      Octant.Solver.default_refine with
-      Octant.Solver.budget = 0;
-      initial = n_lm;
-      step = n_lm;
-    }
-  in
-  let parity_results, _, _ = run (Some parity_cfg) in
-  let full_budget_parity =
-    Array.for_all2 (fun (a, _) (b, _) -> same a b) base_results parity_results
-  in
-  Printf.printf "  full-budget parity vs unbudgeted: %s\n%!"
-    (if full_budget_parity then "bit-identical" else "DIVERGED");
-  (* Budget sweep: the anytime defaults at several caps; budget 0 rides
-     the sweep as "every landmark, anytime order" so the early-exit
-     distribution at the far end is visible too. *)
-  let budgets = [ 6; 10; Octant.Solver.default_refine.Octant.Solver.budget; 0 ] in
-  let json_rows = ref [] in
-  let default_ratios = ref None in
-  List.iter
-    (fun budget ->
-      let rc = { Octant.Solver.default_refine with Octant.Solver.budget = budget } in
-      let results, t, clips = run (Some rc) in
-      let errs = errors results in
-      let med = Stats.Sample.median errs in
-      let p90 = Stats.Sample.percentile 90.0 errs in
-      let clips_per_target = float_of_int clips /. float_of_int n_targets in
-      let stats =
-        Array.to_list results
-        |> List.filter_map (fun (_, s) -> s)
-      in
-      let early_exits =
-        List.length (List.filter (fun s -> s.Octant.Solver.rs_early_exit) stats)
-      in
-      let admitted = List.map (fun s -> s.Octant.Solver.rs_admitted) stats in
-      let mean_admitted =
-        float_of_int (List.fold_left ( + ) 0 admitted)
-        /. float_of_int (Stdlib.max 1 (List.length admitted))
-      in
-      let histogram =
-        let tbl = Hashtbl.create 8 in
-        List.iter
-          (fun k -> Hashtbl.replace tbl k (1 + Option.value ~default:0 (Hashtbl.find_opt tbl k)))
-          admitted;
-        Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [] |> List.sort compare
-      in
-      let label = if budget = 0 then "budget=all" else Printf.sprintf "budget=%d" budget in
-      let err_ratio = med /. Float.max (Stats.Sample.median base_errs) 0.1 in
-      let clips_ratio = clips_per_target /. Float.max base_clips_per_target 1e-9 in
-      if budget = Octant.Solver.default_refine.Octant.Solver.budget then
-        default_ratios := Some (err_ratio, clips_ratio);
-      Printf.printf
-        "  %-12s %6.2fs   median %6.1f mi  p90 %6.1f mi   %7.0f clips/target (%.2fx)   \
-         early exit %d/%d   mean admitted %.1f/%d\n%!"
-        label t med p90 clips_per_target clips_ratio early_exits n_targets mean_admitted n_lm;
-      json_rows :=
-        Json.Obj
-          [
-            ("budget", Json.Num (float_of_int budget));
-            ("wall_s", Json.num t);
-            ("median_error_miles", Json.num med);
-            ("p90_error_miles", Json.num p90);
-            ("error_ratio_vs_full", Json.num err_ratio);
-            ("clips_per_target", Json.num clips_per_target);
-            ("clips_ratio_vs_full", Json.num clips_ratio);
-            ("early_exits", Json.Num (float_of_int early_exits));
-            ("mean_admitted", Json.num mean_admitted);
-            ( "admitted_histogram",
-              Json.Obj
-                (List.map
-                   (fun (k, v) -> (string_of_int k, Json.Num (float_of_int v)))
-                   histogram) );
-          ]
-        :: !json_rows)
-    budgets;
-  let default_error_ratio, default_clips_ratio =
-    match !default_ratios with
-    | Some r -> r
-    | None ->
-        Printf.eprintf "REFINE FAIL: no sweep row at the default budget\n";
-        exit 1
-  in
-  Printf.printf
-    "# gates: default-budget error ratio %.3f (<= %.2f), clips ratio %.3f (<= %.2f), parity %s\n%!"
-    default_error_ratio refine_max_default_error_ratio default_clips_ratio
-    refine_max_default_clips_ratio
-    (if full_budget_parity then "ok" else "FAIL");
-  Emit.write ~bench:"refine" ~t0:bench_t0
-    ~fields:
-      [
-        ("landmarks", Json.Num (float_of_int n_lm));
-        ("targets", Json.Num (float_of_int n_targets));
-        ("unbudgeted_median_error_miles", Json.num (Stats.Sample.median base_errs));
-        ("unbudgeted_p90_error_miles", Json.num (Stats.Sample.percentile 90.0 base_errs));
-        ("unbudgeted_clips_per_target", Json.num base_clips_per_target);
-        ("unbudgeted_wall_s", Json.num base_t);
-        ("full_budget_parity", Json.Bool full_budget_parity);
-        ("default_error_ratio_vs_full", Json.num default_error_ratio);
-        ("default_clips_ratio_vs_full", Json.num default_clips_ratio);
-        ("max_default_error_ratio", Json.num refine_max_default_error_ratio);
-        ("max_default_clips_ratio", Json.num refine_max_default_clips_ratio);
-      ]
-    ~gates:
-      [
-        Emit.gate "full_budget_parity" full_budget_parity
-          "full-budget refined solve bit-identical to the unbudgeted solver";
-        Emit.gate "default_error_ratio"
-          (default_error_ratio <= refine_max_default_error_ratio)
-          (Printf.sprintf
-             "default-budget median error %.3fx the full-landmark solve (want <= %.2fx)"
-             default_error_ratio refine_max_default_error_ratio);
-        Emit.gate "default_clips_ratio"
-          (default_clips_ratio <= refine_max_default_clips_ratio)
-          (Printf.sprintf "default budget cut clips to %.3fx of unbudgeted (want <= %.2fx)"
-             default_clips_ratio refine_max_default_clips_ratio);
-      ]
-    ~rows:(List.rev !json_rows) "BENCH_refine.json"
-
-(* ------------------------------------------------------------------ *)
 (* Streaming re-localization *)
 (* ------------------------------------------------------------------ *)
 
@@ -1912,7 +1694,6 @@ let () =
   | "secondary" -> secondary ()
   | "robustness" -> robustness ()
   | "adversary" -> adversary_bench ()
-  | "refine" -> refine_bench ()
   | "stream" -> stream_bench ()
   | "timing" -> timing (Eval.Study.run ~seed ~n_hosts ())
   | "batch" -> batch ()
@@ -1928,7 +1709,6 @@ let () =
       ablation ();
       robustness ();
       adversary_bench ();
-      refine_bench ();
       stream_bench ();
       secondary ();
       vivaldi ();
@@ -1940,5 +1720,5 @@ let () =
       geom ();
       micro ()
   | other ->
-      Printf.eprintf "unknown bench target %S (fig2|fig3|fig4|ablation|robustness|adversary|refine|stream|secondary|vivaldi|timing|batch|serve|shard|region|geom|micro|all)\n" other;
+      Printf.eprintf "unknown bench target %S (fig2|fig3|fig4|ablation|robustness|adversary|stream|secondary|vivaldi|timing|batch|serve|shard|region|geom|micro|all)\n" other;
       exit 1

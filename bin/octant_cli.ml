@@ -54,9 +54,8 @@ let backend_arg =
     & info [ "backend" ] ~docv:"BACKEND"
         ~doc:
           "Region backend the solver dispatches through: $(b,exact) (polygon \
-           clipping, the default), $(b,grid)[:RES] (raster over the world box), \
-           or $(b,hybrid)[:CELLS] (exact clipping behind a bbox + occupancy-grid \
-           prefilter).")
+           clipping, the default) or $(b,hybrid)[:CELLS] (exact clipping behind \
+           a bbox + occupancy-grid prefilter).")
 
 let harden_arg =
   Arg.(
@@ -70,48 +69,6 @@ let harden_arg =
            extraction.")
 
 let harden_opt hardened = if hardened then Some Octant.Harden.default else None
-
-let budget_arg =
-  Arg.(
-    value
-    & opt int 0
-    & info [ "landmark-budget" ] ~docv:"K"
-        ~doc:
-          "Admit at most $(docv) landmarks per target, ranked by RTT \
-           tightness and angular coverage. Alone, all $(docv) are admitted \
-           in one round; with $(b,--refine) they bound the anytime loop. 0 \
-           (the default) means no budget.")
-
-let refine_arg =
-  Arg.(
-    value & flag
-    & info [ "refine" ]
-        ~doc:
-          "Enable anytime refinement: start from the best-ranked landmarks \
-           and admit more only while the weighted best cell keeps moving or \
-           shrinking, exiting early on stability. Composes with \
-           $(b,--harden) (ranking runs on post-attenuation weights) and \
-           $(b,--landmark-budget).")
-
-(* --landmark-budget alone is a single admission round of the K best-ranked
-   landmarks (initial = step = budget, so the anytime early exit never has
-   anything to cut); --refine turns the anytime loop on, bounded by the
-   budget when one is given and by [Solver.default_refine] otherwise. *)
-let refine_opt budget refine =
-  if refine then
-    Some
-      (if budget > 0 then
-         { Octant.Solver.default_refine with Octant.Solver.budget = budget }
-       else Octant.Solver.default_refine)
-  else if budget > 0 then
-    Some
-      {
-        Octant.Solver.default_refine with
-        Octant.Solver.budget = budget;
-        initial = budget;
-        step = budget;
-      }
-  else None
 
 (* --- telemetry --- *)
 
@@ -169,7 +126,7 @@ let mk_bridge seed n_hosts probes =
 
 (* --- localize --- *)
 
-let localize seed hosts probes target no_piecewise no_geo backend harden budget refine telemetry =
+let localize seed hosts probes target no_piecewise no_geo backend harden telemetry =
   with_telemetry telemetry @@ fun () ->
   let deployment, bridge = mk_bridge seed hosts probes in
   let n = Eval.Bridge.host_count bridge in
@@ -190,7 +147,6 @@ let localize seed hosts probes target no_piecewise no_geo backend harden budget 
       whois_weight = (if no_geo then 0.0 else Octant.Pipeline.default_config.Octant.Pipeline.whois_weight);
       backend;
       harden = harden_opt harden;
-      refine = refine_opt budget refine;
     }
   in
   let ctx = Octant.Pipeline.prepare ~config ~landmarks ~inter_landmark_rtt_ms:inter () in
@@ -237,7 +193,7 @@ let localize_cmd =
     (Cmd.info "localize" ~doc:"Localize one host of a simulated deployment")
     Term.(
       const localize $ seed_arg $ hosts_arg $ probes_arg $ target $ no_piecewise $ no_geo
-      $ backend_arg $ harden_arg $ budget_arg $ refine_arg $ telemetry_arg)
+      $ backend_arg $ harden_arg $ telemetry_arg)
 
 (* --- calibrate --- *)
 
@@ -260,14 +216,13 @@ let calibrate_cmd =
 
 (* --- study --- *)
 
-let study seed hosts probes jobs backend harden budget refine telemetry =
+let study seed hosts probes jobs backend harden telemetry =
   with_telemetry telemetry @@ fun () ->
   let config =
     {
       Octant.Pipeline.default_config with
       Octant.Pipeline.backend;
       harden = harden_opt harden;
-      refine = refine_opt budget refine;
     }
   in
   let s = Eval.Study.run ~config ~seed ~n_hosts:hosts ~probes ?jobs:(jobs_opt jobs) () in
@@ -280,11 +235,11 @@ let study_cmd =
     (Cmd.info "study" ~doc:"Leave-one-out comparison of all methods (Figure 3)")
     Term.(
       const study $ seed_arg $ hosts_arg $ probes_arg $ jobs_arg $ backend_arg $ harden_arg
-      $ budget_arg $ refine_arg $ telemetry_arg)
+      $ telemetry_arg)
 
 (* --- sweep --- *)
 
-let sweep seed hosts counts jobs backend harden budget refine telemetry =
+let sweep seed hosts counts jobs backend harden telemetry =
   with_telemetry telemetry @@ fun () ->
   let landmark_counts =
     String.split_on_char ',' counts |> List.map String.trim |> List.map int_of_string
@@ -294,7 +249,6 @@ let sweep seed hosts counts jobs backend harden budget refine telemetry =
       Octant.Pipeline.default_config with
       Octant.Pipeline.backend;
       harden = harden_opt harden;
-      refine = refine_opt budget refine;
     }
   in
   let s = Eval.Sweep.run ~config ~seed ~n_hosts:hosts ~landmark_counts ?jobs:(jobs_opt jobs) () in
@@ -311,7 +265,7 @@ let sweep_cmd =
     (Cmd.info "sweep" ~doc:"Coverage vs number of landmarks (Figure 4)")
     Term.(
       const sweep $ seed_arg $ hosts_arg $ counts $ jobs_arg $ backend_arg $ harden_arg
-      $ budget_arg $ refine_arg $ telemetry_arg)
+      $ telemetry_arg)
 
 (* --- ablation --- *)
 
@@ -338,7 +292,7 @@ let ablation_cmd =
    evidence.  --verify re-solves the session's constraint log from
    scratch after every frame and fails on any divergence — the prefix
    -parity contract, checkable on any recorded feed. *)
-let stream seed hosts probes feed verify backend harden budget refine telemetry =
+let stream seed hosts probes feed verify backend harden telemetry =
   with_telemetry telemetry @@ fun () ->
   let module Protocol = Octant_serve.Protocol in
   let module Json = Octant_serve.Json in
@@ -352,7 +306,6 @@ let stream seed hosts probes feed verify backend harden budget refine telemetry 
       Octant.Pipeline.default_config with
       Octant.Pipeline.backend;
       harden = harden_opt harden;
-      refine = refine_opt budget refine;
     }
   in
   let ctx = Octant.Pipeline.prepare ~config ~landmarks ~inter_landmark_rtt_ms:inter () in
@@ -476,7 +429,7 @@ let stream_cmd =
        ~doc:"Replay a recorded observation feed through persistent solver sessions")
     Term.(
       const stream $ seed_arg $ hosts_arg $ probes_arg $ feed $ verify $ backend_arg
-      $ harden_arg $ budget_arg $ refine_arg $ telemetry_arg)
+      $ harden_arg $ telemetry_arg)
 
 let main =
   Cmd.group

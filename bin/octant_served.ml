@@ -113,8 +113,8 @@ let backend_arg =
     & opt backend_conv Geo.Region_backend.default
     & info [ "backend" ] ~docv:"BACKEND"
         ~doc:
-          "Region backend for every localization this daemon serves: $(b,exact), \
-           $(b,grid)[:RES], or $(b,hybrid)[:CELLS].")
+          "Region backend for every localization this daemon serves: $(b,exact) \
+           or $(b,hybrid)[:CELLS].")
 
 let harden_arg =
   Arg.(
@@ -127,45 +127,8 @@ let harden_arg =
            offenders, and trim far-flung weight-band cells at estimate \
            extraction.")
 
-let budget_arg =
-  Arg.(
-    value
-    & opt int 0
-    & info [ "landmark-budget" ] ~docv:"K"
-        ~doc:
-          "Admit at most $(docv) ranked landmarks per served localization \
-           (0, the default, means no budget; alone it is a single admission \
-           round, with $(b,--refine) it bounds the anytime loop).")
-
-let refine_arg =
-  Arg.(
-    value & flag
-    & info [ "refine" ]
-        ~doc:
-          "Enable anytime refinement for every localization this daemon \
-           serves: admit landmarks best-ranked first and stop early once \
-           the weighted best cell is stable. Composes with $(b,--harden).")
-
-(* Mirrors octant_cli's flag semantics: budget alone is one admission round
-   (initial = step = budget), --refine turns the early exit on. *)
-let refine_opt budget refine =
-  if refine then
-    Some
-      (if budget > 0 then
-         { Octant.Solver.default_refine with Octant.Solver.budget = budget }
-       else Octant.Solver.default_refine)
-  else if budget > 0 then
-    Some
-      {
-        Octant.Solver.default_refine with
-        Octant.Solver.budget = budget;
-        initial = budget;
-        step = budget;
-      }
-  else None
-
 let serve seed hosts probes port host jobs max_queue max_batch batch_delay_ms cache
-    cache_shards sessions max_conns deadline backend harden budget refine telemetry =
+    cache_shards sessions max_conns deadline backend harden telemetry =
   let telemetry_sink =
     match telemetry with
     | None -> None
@@ -195,7 +158,6 @@ let serve seed hosts probes port host jobs max_queue max_batch batch_delay_ms ca
           Octant.Pipeline.default_config with
           Octant.Pipeline.backend;
           harden = (if harden then Some Octant.Harden.default else None);
-          refine = refine_opt budget refine;
         }
       ~landmarks ~inter_landmark_rtt_ms:inter ()
   in
@@ -249,6 +211,6 @@ let main =
       const serve $ seed_arg $ hosts_arg $ probes_arg $ port_arg $ host_arg $ jobs_arg
       $ max_queue_arg $ max_batch_arg $ batch_delay_arg $ cache_arg
       $ cache_shards_arg $ sessions_arg $ max_conns_arg $ deadline_arg $ backend_arg
-      $ harden_arg $ budget_arg $ refine_arg $ telemetry_arg)
+      $ harden_arg $ telemetry_arg)
 
 let () = exit (Cmd.eval main)

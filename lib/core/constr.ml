@@ -42,9 +42,6 @@ let region_of_shape ?(segments = 64) = function
       Geo.Region.annulus ~segments ~center ~r_inner:r_inner_km ~r_outer:r_outer_km ()
   | Rough r -> r
 
-let tessellate (type r) ?segments ((module B) : r Geo.Region_intf.backend) shape =
-  B.of_region (region_of_shape ?segments shape)
-
 let of_rtt ?(segments = 64) ?(negative_weight_factor = 1.0) ~calibration ~landmark_position
     ~adjusted_rtt_ms ~weight ~source () =
   ignore segments;

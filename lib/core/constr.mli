@@ -41,11 +41,6 @@ val with_epoch : int -> t -> t
 val region_of_shape : ?segments:int -> shape -> Geo.Region.t
 (** Materialize the shape as a region (default 64-gon circles). *)
 
-val tessellate : ?segments:int -> 'r Geo.Region_intf.backend -> shape -> 'r
-(** {!region_of_shape} imported into a region backend — the
-    representation-agnostic form consumers dispatching through
-    {!Geo.Region_intf.S} use. *)
-
 val of_rtt :
   ?segments:int ->
   ?negative_weight_factor:float ->

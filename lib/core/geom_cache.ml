@@ -173,7 +173,3 @@ let region_for ?(segments = 64) t (constr : Constr.t) =
       else if q_inner <= 0 then
         translate_to center (lookup t { kind = 0; grow; segments; q_inner = 0; q_outer })
       else translate_to center (lookup t { kind = 1; grow; segments; q_inner; q_outer })
-
-let tessellate_for (type r) ?segments t ~backend:((module B) : r Geo.Region_intf.backend)
-    constr =
-  B.of_region (region_for ?segments t constr)

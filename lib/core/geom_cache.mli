@@ -39,9 +39,3 @@ val region_for : ?segments:int -> t -> Constr.t -> Geo.Region.t
 
 val stats : t -> int * int
 (** [(hits, misses)] so far; for benchmarks and tests. *)
-
-val tessellate_for :
-  ?segments:int -> t -> backend:'r Geo.Region_intf.backend -> Constr.t -> 'r
-(** {!region_for} imported into a region backend.  The memo itself stays
-    in the exact world (keys are radius buckets, values exact regions), so
-    one cache serves every backend; the import is per call. *)

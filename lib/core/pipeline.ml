@@ -20,7 +20,6 @@ type config = {
   sol_only : bool;
   backend : Geo.Region_backend.spec;
   harden : Harden.config option;
-  refine : Solver.refine_config option;
 }
 
 let default_config =
@@ -46,7 +45,6 @@ let default_config =
     sol_only = false;
     backend = Geo.Region_backend.default;
     harden = None;
-    refine = None;
   }
 
 let c_targets = Obs.Telemetry.Counter.make ~domain:"pipeline" "targets_localized"
@@ -162,7 +160,6 @@ let landmark_count ctx = Array.length ctx.landmarks
    adversarial eval driver localizes every target twice (hardened and not)
    against one prepare. *)
 let with_harden ctx harden = { ctx with cfg = { ctx.cfg with harden } }
-let with_refine ctx refine = { ctx with cfg = { ctx.cfg with refine } }
 let landmark_heights ctx = ctx.heights
 let calibration ctx i = ctx.calibrations.(i)
 let pooled_calibration ctx = ctx.pooled_calibration
@@ -174,17 +171,12 @@ let geometry_cache_stats ctx = Geom_cache.stats ctx.geom_cache
    bit-identical. *)
 let tessellate ctx = Geom_cache.region_for ctx.geom_cache
 
-(* Grid and hybrid backends need the target's world geometry, so the
-   config carries a spec and the module is built per arrangement.  The
-   exact spec yields the identity backend: same cells, same golden. *)
+(* The hybrid backend needs the target's world geometry, so the config
+   carries a spec and the module is built per arrangement.  The exact spec
+   yields the identity backend: same cells, same golden. *)
 let solver_for ctx world =
   Solver.create
-    ~config:
-      {
-        Solver.default_config with
-        Solver.harden = ctx.cfg.harden;
-        Solver.refine = ctx.cfg.refine;
-      }
+    ~config:{ Solver.default_config with Solver.harden = ctx.cfg.harden }
     ~backend:(Geo.Region_backend.instantiate ctx.cfg.backend ~world)
     ~world ()
 
@@ -483,18 +475,8 @@ type prepared_target = {
   target_height_ms : float;
 }
 
-(* Everything the refinement loop needs beyond [prepared_target]: the
-   latency constraints grouped per measured landmark (the admission unit),
-   the ranking features, and the projected focus the bearing sectors are
-   anchored at.  Group constraint lists share physical identity with the
-   members of [prepared_target.constraints], so admission filters can
-   preserve the global weight order exactly. *)
-type refine_inputs = {
-  ri_measured : (int * Constr.t list) array;
-  ri_features : Rank.feature array;
-  ri_focus : Geo.Point.t;
-}
-
+(* Assembly plus the per-landmark hardening scales it applied ([None] when
+   hardening is off), which a streaming session pins for its deltas. *)
 let prepare_target_full ?(undns = fun _ -> None) ctx obs =
   Obs.Telemetry.with_span "prepare_target" @@ fun () ->
   let cfg = ctx.cfg in
@@ -639,30 +621,8 @@ let prepare_target_full ?(undns = fun _ -> None) ctx obs =
       (fun (a : Constr.t) (b : Constr.t) -> compare b.Constr.weight a.Constr.weight)
       (latency_constraints @ piecewise @ geo_constraints)
   in
-  let measured = ref [] in
-  Array.iteri (fun i cs -> if cs <> [] then measured := (i, cs) :: !measured) latency_groups;
-  let ri_measured = Array.of_list (List.rev !measured) in
-  let ri_features =
-    Array.map
-      (fun (i, cs) ->
-        {
-          Rank.slot = i;
-          center = Geo.Projection.project projection ctx.landmarks.(i).lm_position;
-          rtt_ms = adjusted_rtt_of ctx i obs.target_rtt_ms.(i) target_height;
-          (* Post-attenuation weight: [rtt_constraints] already folded the
-             hardening scale in, so a downweighted liar ranks late — the
-             --harden --refine composition hinges on this. *)
-          weight =
-            List.fold_left (fun acc (c : Constr.t) -> Float.max acc c.Constr.weight) 0.0 cs;
-        })
-      ri_measured
-  in
   ( { projection; world; constraints = all_constraints; target_height_ms = target_height },
-    {
-      ri_measured;
-      ri_features;
-      ri_focus = Geo.Projection.project projection focus;
-    } )
+    weight_scales )
 
 let prepare_target ?undns ctx obs = fst (prepare_target_full ?undns ctx obs)
 
@@ -676,7 +636,7 @@ let arrangement ?undns ctx obs =
   in
   (prepared, solver)
 
-let localize_plain ?undns ctx obs =
+let localize ?undns ctx obs =
   Obs.Telemetry.with_span "localize" @@ fun () ->
   let t_start = Sys.time () in
   let prepared, solver = arrangement ?undns ctx obs in
@@ -699,108 +659,6 @@ let localize_plain ?undns ctx obs =
     target_height_ms = prepared.target_height_ms;
     solve_time_s = elapsed;
   }
-
-(* ---- Adaptive refinement (ROADMAP item 1) ---- *)
-
-let c_refine_admitted = Obs.Telemetry.Counter.make ~domain:"refine" "landmarks_admitted"
-let c_refine_skipped = Obs.Telemetry.Counter.make ~domain:"refine" "landmarks_skipped"
-
-let c_refine_cs_skipped =
-  Obs.Telemetry.Counter.make ~domain:"refine" "constraints_skipped"
-
-(* Clip work the loop never paid for: every skipped constraint would have
-   been classified against every cell alive when the loop stopped, and the
-   straddling subset clipped.  Cells x skipped constraints is the
-   deterministic upper bound on that avoided work (exact clip counts for a
-   run it never executed are unknowable), and it is jobs-independent. *)
-let c_refine_clips_avoided =
-  Obs.Telemetry.Counter.make ~domain:"refine" "clip_checks_avoided"
-
-let localize_refined ?undns ctx obs =
-  let rc =
-    match ctx.cfg.refine with
-    | Some rc -> rc
-    | None -> invalid_arg "Pipeline.localize_refined: config.refine is not set"
-  in
-  Obs.Telemetry.with_span "localize" @@ fun () ->
-  let t_start = Sys.time () in
-  let prepared, inputs = prepare_target_full ?undns ctx obs in
-  let n_measured = Array.length inputs.ri_measured in
-  let order = Rank.order ~focus:inputs.ri_focus inputs.ri_features in
-  let budget =
-    if rc.Solver.budget <= 0 || rc.Solver.budget > n_measured then n_measured
-    else Stdlib.max rc.Solver.budget (Stdlib.min 3 n_measured)
-  in
-  let initial_n = Stdlib.min (Stdlib.max rc.Solver.initial 1) budget in
-  let group k = snd inputs.ri_measured.(k) in
-  let in_prefix lo hi c =
-    (* [order.(lo..hi-1)] landmark groups; membership by physical identity
-       (the groups share their constraint values with
-       [prepared.constraints]). *)
-    let rec scan j = j < hi && (List.memq c (group order.(j)) || scan (j + 1)) in
-    scan lo
-  in
-  let is_latency c = in_prefix 0 n_measured c in
-  (* Filtering the globally weight-sorted list (rather than re-sorting the
-     admitted groups) is what makes the full-budget case literally the
-     unbudgeted constraint sequence — the parity invariant. *)
-  let initial_cs =
-    List.filter (fun c -> (not (is_latency c)) || in_prefix 0 initial_n c) prepared.constraints
-  in
-  let pending =
-    Array.init (budget - initial_n) (fun j ->
-        let k = order.(initial_n + j) in
-        List.filter (fun c -> List.memq c (group k)) prepared.constraints)
-  in
-  let solver = solver_for ctx prepared.world in
-  let sol, stats =
-    Obs.Telemetry.with_span "add_constraints" @@ fun () ->
-    Solver.solve_anytime ~area_threshold_km2:ctx.cfg.area_threshold_km2
-      ~weight_band:ctx.cfg.weight_band ~max_cells:ctx.cfg.max_cells
-      ~tessellate:(tessellate ctx) ~initial_landmarks:initial_n ~initial:initial_cs ~pending
-      solver
-  in
-  (* Fold the budget-excluded landmarks into the skip stats so telemetry
-     and the bench see one number for "landmarks this target never paid
-     for", whether the budget or the early exit cut them. *)
-  let budget_excluded = n_measured - budget in
-  let excluded_cs = ref 0 in
-  for j = budget to n_measured - 1 do
-    excluded_cs := !excluded_cs + List.length (group order.(j))
-  done;
-  let stats =
-    {
-      stats with
-      Solver.rs_skipped = stats.Solver.rs_skipped + budget_excluded;
-      Solver.rs_constraints_skipped = stats.Solver.rs_constraints_skipped + !excluded_cs;
-    }
-  in
-  Obs.Telemetry.Counter.add c_refine_admitted stats.Solver.rs_admitted;
-  Obs.Telemetry.Counter.add c_refine_skipped stats.Solver.rs_skipped;
-  Obs.Telemetry.Counter.add c_refine_cs_skipped stats.Solver.rs_constraints_skipped;
-  Obs.Telemetry.Counter.add c_refine_clips_avoided
-    (stats.Solver.rs_cells * stats.Solver.rs_constraints_skipped);
-  let elapsed = Sys.time () -. t_start in
-  Obs.Telemetry.Counter.incr c_targets;
-  Obs.Telemetry.Histogram.observe h_localize elapsed;
-  ( {
-      Estimate.projection = prepared.projection;
-      region = sol.Solver.region;
-      point = Geo.Projection.unproject prepared.projection sol.Solver.point;
-      point_plane = sol.Solver.point;
-      area_km2 = sol.Solver.area_km2;
-      top_weight = sol.Solver.weight;
-      cells_used = sol.Solver.cells_used;
-      constraints_used = stats.Solver.rs_constraints_added;
-      target_height_ms = prepared.target_height_ms;
-      solve_time_s = elapsed;
-    },
-    stats )
-
-let localize ?undns ctx obs =
-  match ctx.cfg.refine with
-  | None -> localize_plain ?undns ctx obs
-  | Some _ -> fst (localize_refined ?undns ctx obs)
 
 let localize_audited ?undns ctx obs = Obs.Telemetry.Audit.collect (fun () -> localize ?undns ctx obs)
 
@@ -871,89 +729,20 @@ module Session = struct
       solve_time_s = elapsed;
     }
 
-  (* Creation mirrors [localize] exactly — plain fold-all, or the anytime
-     admission loop when [config.refine] is set (resuming its final
-     arrangement instead of restarting from round one, per ROADMAP) — so
-     the session's first estimate is bit-identical to the one-shot path
-     over the same observations. *)
+  (* Creation mirrors [localize] exactly — the same assembly folded into
+     the same fresh arrangement — so the session's first estimate is
+     bit-identical to the one-shot path over the same observations.  The
+     assembled constraints are the session's initial log, not a fold, so
+     [folds] counts streamed deltas only. *)
   let create ?undns ?(epoch = 0) ctx obs =
     Obs.Telemetry.with_span "session.create" @@ fun () ->
     let t_start = Sys.time () in
-    let prepared, inputs = prepare_target_full ?undns ctx obs in
+    let prepared, weight_scales = prepare_target_full ?undns ctx obs in
     let max_cells, tess, area_threshold_km2, weight_band = knobs ctx in
-    let weight_scales =
-      match ctx.cfg.harden with
-      | None -> None
-      | Some _ ->
-          (* [prepare_target_full] already folded the scales into the
-             prepared constraints; recover them per landmark for deltas.
-             The heaviest constraint of a group divided by the nominal
-             weight is exactly the scale [rtt_constraints] applied. *)
-          let n = Array.length ctx.landmarks in
-          let scales = Array.make n 1.0 in
-          Array.iter
-            (fun (i, cs) ->
-              let nominal =
-                Weight.of_latency ctx.cfg.weight_policy
-                  (adjusted_rtt_of ctx i obs.target_rtt_ms.(i) prepared.target_height_ms)
-              in
-              let actual =
-                List.fold_left
-                  (fun acc (c : Constr.t) -> Float.max acc c.Constr.weight)
-                  0.0 cs
-              in
-              if nominal > 0.0 then scales.(i) <- actual /. nominal)
-            inputs.ri_measured;
-          Some scales
-    in
-    let tag = List.map (Constr.with_epoch epoch) in
     let solver_session =
-      let base = solver_for ctx prepared.world in
-      match ctx.cfg.refine with
-      | None ->
-          (* Resume over the assembled base arrangement rather than
-             folding it, so [folds] counts streamed deltas only — the
-             refine branch below starts at zero folds the same way. *)
-          let cs = tag prepared.constraints in
-          let current = Solver.add_all ~max_cells ~tessellate:tess base cs in
-          Solver.Session.resume ~max_cells ~tessellate:tess ~area_threshold_km2 ~weight_band
-            ~base ~current ~log:cs ()
-      | Some rc ->
-          (* The refined admission prefix, as in [localize_refined]; the
-             log is the constraints the loop actually admitted, so retire
-             and parity replay see exactly what the arrangement holds. *)
-          let n_measured = Array.length inputs.ri_measured in
-          let order = Rank.order ~focus:inputs.ri_focus inputs.ri_features in
-          let budget =
-            if rc.Solver.budget <= 0 || rc.Solver.budget > n_measured then n_measured
-            else Stdlib.max rc.Solver.budget (Stdlib.min 3 n_measured)
-          in
-          let initial_n = Stdlib.min (Stdlib.max rc.Solver.initial 1) budget in
-          let group k = snd inputs.ri_measured.(k) in
-          let in_prefix lo hi c =
-            let rec scan j = j < hi && (List.memq c (group order.(j)) || scan (j + 1)) in
-            scan lo
-          in
-          let is_latency c = in_prefix 0 n_measured c in
-          let initial_cs =
-            List.filter
-              (fun c -> (not (is_latency c)) || in_prefix 0 initial_n c)
-              prepared.constraints
-          in
-          let pending =
-            Array.init (budget - initial_n) (fun j ->
-                let k = order.(initial_n + j) in
-                List.filter (fun c -> List.memq c (group k)) prepared.constraints)
-          in
-          let initial_cs = tag initial_cs and pending = Array.map tag pending in
-          let _, stats, final =
-            Solver.solve_anytime_state ~area_threshold_km2 ~weight_band ~max_cells
-              ~tessellate:tess ~initial_landmarks:initial_n ~initial:initial_cs ~pending base
-          in
-          let consumed = Array.length pending - stats.Solver.rs_skipped in
-          let log = initial_cs @ List.concat (Array.to_list (Array.sub pending 0 consumed)) in
-          Solver.Session.resume ~max_cells ~tessellate:tess ~area_threshold_km2 ~weight_band
-            ~base ~current:final ~log ()
+      Solver.Session.create ~max_cells ~tessellate:tess ~area_threshold_km2 ~weight_band
+        ~log:(List.map (Constr.with_epoch epoch) prepared.constraints)
+        (solver_for ctx prepared.world)
     in
     Obs.Telemetry.Counter.incr c_sessions_opened;
     let s =

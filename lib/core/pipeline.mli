@@ -42,23 +42,14 @@ type config = {
                                     calibration, no negative constraints. *)
   backend : Geo.Region_backend.spec;
       (** Region representation the solver dispatches through (default
-          [Exact]).  Grid/hybrid backends are instantiated per target
-          against its world region. *)
+          [Exact]).  The hybrid backend is instantiated per target against
+          its world region. *)
   harden : Harden.config option;
       (** Byzantine-landmark hardening ({!Harden}): when set, each target's
           latency constraints are consistency-scored (conflicting landmarks
           down-weighted before they reach the solver) and the solver applies
           the consensus trim at estimate extraction.  [None] (the default)
           is bit-identical to the unhardened pipeline. *)
-  refine : Solver.refine_config option;
-      (** Adaptive landmark admission (ROADMAP item 1): when set,
-          {!localize} ranks each target's measured landmarks ({!Rank}) on
-          post-attenuation constraint weight and angular coverage, then
-          runs the anytime loop ({!Solver.solve_anytime}) admitting
-          landmarks in rank order — the budgeted prefix up front, more only
-          while the weighted best cell keeps moving or shrinking.  [None]
-          (the default) is bit-identical to the exhaustive pipeline, as is
-          a budget covering every landmark with [initial >= budget]. *)
 }
 
 val default_config : config
@@ -113,11 +104,6 @@ val with_harden : context -> Harden.config option -> context
     so evaluation drivers can localize every target both hardened and
     unhardened against one [prepare]. *)
 
-val with_refine : context -> Solver.refine_config option -> context
-(** Same prepared context with the refinement knob replaced — like
-    {!with_harden}, preparation does not depend on it, so budget sweeps
-    reuse one [prepare]. *)
-
 val landmark_heights : context -> float array
 val calibration : context -> int -> Calibration.t
 
@@ -155,23 +141,11 @@ val localize :
   context ->
   observations ->
   Estimate.t
-(** Localize one target.  With [config.refine] set this runs the adaptive
-    admission loop; otherwise every constraint is folded in, as the paper
-    describes.
+(** Localize one target: every assembled constraint is folded into one
+    weighted arrangement, as the paper describes, and the estimate is
+    extracted from it.
     @raise Invalid_argument if [target_rtt_ms] length mismatches the
     context, or fewer than 3 landmarks measured the target. *)
-
-val localize_refined :
-  ?undns:(string -> Geo.Geodesy.coord option) ->
-  context ->
-  observations ->
-  Estimate.t * Solver.refine_stats
-(** {!localize} through the refinement path, additionally returning the
-    anytime-loop statistics (landmarks admitted and skipped — budget cuts
-    and early exits combined — rounds, and the per-round trace).  The
-    bench and the golden-trace tests are built on this.
-    @raise Invalid_argument if [config.refine] is [None], or on the same
-    malformed observations as {!localize}. *)
 
 val localize_audited :
   ?undns:(string -> Geo.Geodesy.coord option) ->
@@ -228,9 +202,7 @@ val geometry_cache_stats : context -> int * int
     arrangement: O(delta) constraint adds per update instead of a full
     re-solve.  Epoch-tagged evidence can be retired ({!Session.retire}),
     re-solving from the surviving constraint log (the region can only
-    widen).  With [config.refine] set, creation runs the anytime admission
-    loop once and {e resumes} its final arrangement, so later deltas fold
-    into the refined state instead of restarting from round one.
+    widen).
 
     Parity contract (the safety rail): at every feed prefix,
     {!Session.estimate} is bit-identical on the exact backend to

@@ -11,26 +11,13 @@ type 'r cell = {
          pass on every fusion. *)
 }
 
-type refine_config = {
-  budget : int;
-  initial : int;
-  step : int;
-  stable_point_km : float;
-  stable_area_ratio : float;
-}
-
-let default_refine =
-  { budget = 16; initial = 8; step = 4; stable_point_km = 12.0; stable_area_ratio = 0.04 }
-
 type config = {
   simplify_vertex_threshold : int;
   simplify_tolerance_km : float;
   harden : Harden.config option;
-  refine : refine_config option;
 }
 
-let default_config =
-  { simplify_vertex_threshold = 140; simplify_tolerance_km = 2.0; harden = None; refine = None }
+let default_config = { simplify_vertex_threshold = 140; simplify_tolerance_km = 2.0; harden = None }
 
 (* The arrangement packs its region backend existentially: cells are in
    whatever representation the backend chose, and every operation
@@ -363,104 +350,6 @@ let solve ?(area_threshold_km2 = 5000.0) ?(weight_band = 1.0) t =
             cells_used = used;
           })
 
-(* ---- Anytime refinement loop ---- *)
-
-type refine_round = {
-  rr_admitted : int;
-  rr_area_km2 : float;
-  rr_weight : float;
-  rr_point : Geo.Point.t;
-}
-
-type refine_stats = {
-  rs_admitted : int;
-  rs_skipped : int;
-  rs_rounds : int;
-  rs_early_exit : bool;
-  rs_cells : int;
-  rs_constraints_added : int;
-  rs_constraints_skipped : int;
-  rs_trace : refine_round list;
-}
-
-let c_refine_rounds = Obs.Telemetry.Counter.make ~domain:"refine" "rounds"
-let c_refine_early = Obs.Telemetry.Counter.make ~domain:"refine" "early_exits"
-
-let solve_anytime_state ?area_threshold_km2 ?weight_band ?max_cells ?tessellate
-    ~initial_landmarks ~initial ~pending t =
-  let rc =
-    match t with
-    | Packed { config; _ } -> (
-        match config.refine with Some r -> r | None -> default_refine)
-  in
-  let step = Stdlib.max 1 rc.step in
-  let t = ref (add_all ?max_cells ?tessellate t initial) in
-  let est = ref (solve ?area_threshold_km2 ?weight_band !t) in
-  let n_pending = Array.length pending in
-  let admitted = ref initial_landmarks in
-  let cs_added = ref (List.length initial) in
-  let consumed = ref 0 in
-  let rounds = ref 1 in
-  let early = ref false in
-  let round_of (e : estimate) =
-    { rr_admitted = !admitted; rr_area_km2 = e.area_km2; rr_weight = e.weight; rr_point = e.point }
-  in
-  let trace = ref [ round_of !est ] in
-  (* The loop admits another batch only while the weighted best cell keeps
-     moving or its area keeps changing materially — once both settle, the
-     remaining (lower-ranked) landmarks are unlikely to move the estimate
-     and their clipping cost is skipped outright. *)
-  let stable (prev : estimate) (cur : estimate) =
-    Geo.Point.dist prev.point cur.point <= rc.stable_point_km
-    && Float.abs (cur.area_km2 -. prev.area_km2)
-       <= rc.stable_area_ratio *. Float.max prev.area_km2 1.0
-  in
-  let prev = ref None in
-  while !consumed < n_pending && not !early do
-    match !prev with
-    | Some p when stable p !est -> early := true
-    | _ ->
-        let chunk = Stdlib.min step (n_pending - !consumed) in
-        let cs = ref [] in
-        for k = !consumed + chunk - 1 downto !consumed do
-          cs := pending.(k) @ !cs
-        done;
-        prev := Some !est;
-        t := add_all ?max_cells ?tessellate !t !cs;
-        consumed := !consumed + chunk;
-        admitted := !admitted + chunk;
-        cs_added := !cs_added + List.length !cs;
-        incr rounds;
-        est := solve ?area_threshold_km2 ?weight_band !t;
-        trace := round_of !est :: !trace
-  done;
-  let constraints_skipped = ref 0 in
-  for k = !consumed to n_pending - 1 do
-    constraints_skipped := !constraints_skipped + List.length pending.(k)
-  done;
-  Obs.Telemetry.Counter.add c_refine_rounds !rounds;
-  if !early then Obs.Telemetry.Counter.incr c_refine_early;
-  ( !est,
-    {
-      rs_admitted = !admitted;
-      rs_skipped = n_pending - !consumed;
-      rs_rounds = !rounds;
-      rs_early_exit = !early;
-      rs_cells = cell_count !t;
-      rs_constraints_added = !cs_added;
-      rs_constraints_skipped = !constraints_skipped;
-      rs_trace = List.rev !trace;
-    },
-    !t )
-
-let solve_anytime ?area_threshold_km2 ?weight_band ?max_cells ?tessellate ~initial_landmarks
-    ~initial ~pending t =
-  let est, stats, _ =
-    solve_anytime_state ?area_threshold_km2 ?weight_band ?max_cells ?tessellate
-      ~initial_landmarks ~initial ~pending t
-  in
-  (est, stats)
-
 (* ---- Persistent per-target sessions (streaming re-localization) ---- *)
 
 let c_session_folds = Obs.Telemetry.Counter.make ~domain:"session" "folds"
@@ -492,25 +381,19 @@ module Session = struct
     mutable n_retires : int;
   }
 
-  let make ?max_cells ?tessellate ?area_threshold_km2 ?weight_band ~base ~current ~log () =
+  let create ?max_cells ?tessellate ?area_threshold_km2 ?weight_band ~log base =
     {
       base;
       s_max_cells = max_cells;
       s_tessellate = tessellate;
       s_area_threshold_km2 = area_threshold_km2;
       s_weight_band = weight_band;
-      current;
+      current = add_all ?max_cells ?tessellate base log;
       log_rev = List.rev log;
       live_constraints = List.length log;
       n_folds = 0;
       n_retires = 0;
     }
-
-  let create ?max_cells ?tessellate ?area_threshold_km2 ?weight_band base =
-    make ?max_cells ?tessellate ?area_threshold_km2 ?weight_band ~base ~current:base ~log:[] ()
-
-  let resume ?max_cells ?tessellate ?area_threshold_km2 ?weight_band ~base ~current ~log () =
-    make ?max_cells ?tessellate ?area_threshold_km2 ?weight_band ~base ~current ~log ()
 
   let add_all' s t cs = add_all ?max_cells:s.s_max_cells ?tessellate:s.s_tessellate t cs
 
@@ -551,6 +434,4 @@ module Session = struct
   let folds s = s.n_folds
   let retires s = s.n_retires
   let cells_live s = cell_count s.current
-  let current s = s.current
-  let base s = s.base
 end

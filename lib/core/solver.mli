@@ -29,29 +29,12 @@
 
     The arrangement is parametric in its {e region backend}
     ({!Geo.Region_intf.S}): cells live in whatever representation the
-    backend provides (exact polygons, rasters, prefiltered polygons) and
-    every geometric operation dispatches through it.  The default is the
-    exact backend, which reproduces the historical solver bit for bit. *)
+    backend provides (exact polygons, or polygons behind the hybrid clip
+    prefilter) and every geometric operation dispatches through it.  The
+    default is the exact backend, which reproduces the historical solver
+    bit for bit. *)
 
 type t
-
-type refine_config = {
-  budget : int;
-      (** Landmark admission cap per target; [<= 0] means all measured
-          landmarks (default 16). *)
-  initial : int;
-      (** Landmarks admitted in the first round, best-ranked first
-          (default 8). *)
-  step : int;  (** Landmarks admitted per subsequent round (default 4). *)
-  stable_point_km : float;
-      (** Early exit once a round moves the weighted best-cell point less
-          than this (default 12 km) {e and}... *)
-  stable_area_ratio : float;
-      (** ...changes the estimate area by less than this fraction
-          (default 0.04). *)
-}
-
-val default_refine : refine_config
 
 type config = {
   simplify_vertex_threshold : int;
@@ -66,10 +49,6 @@ type config = {
           the top-weight cell's centroid are excluded from the estimate.
           [None] (the default) reproduces the historical solver bit for
           bit. *)
-  refine : refine_config option;
-      (** Anytime-loop knobs read by {!solve_anytime} ([None] falls back to
-          {!default_refine}).  {!add} and {!solve} ignore this field
-          entirely, so carrying it never perturbs the unbudgeted paths. *)
 }
 
 val default_config : config
@@ -119,64 +98,6 @@ val solve : ?area_threshold_km2:float -> ?weight_band:float -> t -> estimate
     threshold.  At least one cell is always taken, so the estimate is
     never empty. *)
 
-type refine_round = {
-  rr_admitted : int;  (** Cumulative landmarks admitted at this round. *)
-  rr_area_km2 : float;
-  rr_weight : float;
-  rr_point : Geo.Point.t;
-}
-
-type refine_stats = {
-  rs_admitted : int;   (** Landmarks whose constraints entered the solver. *)
-  rs_skipped : int;    (** Pending landmarks never admitted (early exit). *)
-  rs_rounds : int;     (** Solve rounds, including the initial one. *)
-  rs_early_exit : bool;
-  rs_cells : int;      (** Arrangement cells when the loop stopped. *)
-  rs_constraints_added : int;
-  rs_constraints_skipped : int;
-  rs_trace : refine_round list;  (** Chronological, one entry per round. *)
-}
-
-val solve_anytime :
-  ?area_threshold_km2:float ->
-  ?weight_band:float ->
-  ?max_cells:int ->
-  ?tessellate:(Constr.t -> Geo.Region.t) ->
-  initial_landmarks:int ->
-  initial:Constr.t list ->
-  pending:Constr.t list array ->
-  t ->
-  estimate * refine_stats
-(** The anytime refinement loop (ROADMAP item 1): fold [initial] in and
-    solve, then repeatedly admit the next {!refine_config.step} pending
-    landmark groups and re-solve, stopping early once a round leaves the
-    weighted best cell stable (point moved ≤ [stable_point_km] and area
-    changed ≤ [stable_area_ratio] relatively).  Knobs come from the
-    arrangement's [config.refine].
-
-    Parity invariant: with [pending = [||]] this is exactly
-    [add_all] + [solve] — callers that put every constraint in [initial]
-    (a full budget) reproduce the unbudgeted solver bit for bit, which is
-    the property that keeps refinement safe to enable
-    (property-tested in [test_refine.ml]). *)
-
-val solve_anytime_state :
-  ?area_threshold_km2:float ->
-  ?weight_band:float ->
-  ?max_cells:int ->
-  ?tessellate:(Constr.t -> Geo.Region.t) ->
-  initial_landmarks:int ->
-  initial:Constr.t list ->
-  pending:Constr.t list array ->
-  t ->
-  estimate * refine_stats * t
-(** {!solve_anytime}, additionally returning the final arrangement so a
-    streaming session can {e resume} the anytime solve — later deltas fold
-    into the refined arrangement instead of restarting from round one.
-    The admitted constraint log is reconstructible from the stats: the
-    first [Array.length pending - rs_skipped] pending groups entered, in
-    order, after [initial]. *)
-
 (** Persistent per-target solver state for streaming re-localization.
 
     A session holds the pristine world arrangement ([base]), the current
@@ -198,25 +119,14 @@ module Session : sig
     ?tessellate:(Constr.t -> Geo.Region.t) ->
     ?area_threshold_km2:float ->
     ?weight_band:float ->
+    log:Constr.t list ->
     solver ->
     t
-  (** Open a session over a pristine arrangement, pinning the add/solve
-      knobs every subsequent fold and retire will use. *)
-
-  val resume :
-    ?max_cells:int ->
-    ?tessellate:(Constr.t -> Geo.Region.t) ->
-    ?area_threshold_km2:float ->
-    ?weight_band:float ->
-    base:solver ->
-    current:solver ->
-    log:Constr.t list ->
-    unit ->
-    t
-  (** Adopt an already-built arrangement (e.g. the final state of
-      {!solve_anytime_state}) whose constraint history is [log],
-      chronological.  [base] must be [current]'s zero-constraint origin —
-      it is what {!retire} rebuilds from. *)
+  (** Open a session over a pristine arrangement with the chronological
+      [log] already added, pinning the add/solve knobs every subsequent
+      fold and retire will use.  The initial [log] is not a fold: {!folds}
+      starts at zero.  The pristine arrangement is what {!retire} rebuilds
+      from. *)
 
   val fold : t -> Constr.t list -> estimate
   (** Intersect new constraints into the arrangement and re-extract the
@@ -237,7 +147,4 @@ module Session : sig
   val folds : t -> int
   val retires : t -> int
   val cells_live : t -> int
-
-  val current : t -> solver
-  val base : t -> solver
 end

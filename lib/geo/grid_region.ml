@@ -12,14 +12,11 @@ let cell_size t =
   let n = float_of_int t.resolution in
   ((t.hi.Point.x -. t.lo.Point.x) /. n, (t.hi.Point.y -. t.lo.Point.y) /. n)
 
-let blank ~lo ~hi ~resolution =
-  if resolution < 1 then invalid_arg "Grid_region.blank: resolution must be >= 1";
-  if hi.Point.x <= lo.Point.x || hi.Point.y <= lo.Point.y then
-    invalid_arg "Grid_region.blank: degenerate box";
-  { lo; hi; resolution; bits = Bytes.make (resolution * resolution) '\000' }
-
 let create ~lo ~hi ~resolution pred =
-  let t = blank ~lo ~hi ~resolution in
+  if resolution < 1 then invalid_arg "Grid_region.create: resolution must be >= 1";
+  if hi.Point.x <= lo.Point.x || hi.Point.y <= lo.Point.y then
+    invalid_arg "Grid_region.create: degenerate box";
+  let t = { lo; hi; resolution; bits = Bytes.make (resolution * resolution) '\000' } in
   let dx, dy = cell_size t in
   for j = 0 to resolution - 1 do
     for i = 0 to resolution - 1 do
@@ -67,66 +64,3 @@ let contains t p =
   && Bytes.get t.bits ((j * t.resolution) + i) <> '\000'
 
 let fill_fraction t = float_of_int (count t) /. float_of_int (t.resolution * t.resolution)
-
-let get t i j = Bytes.get t.bits ((j * t.resolution) + i) <> '\000'
-
-let centroid t =
-  let dx, dy = cell_size t in
-  let n = ref 0 and sx = ref 0.0 and sy = ref 0.0 in
-  for j = 0 to t.resolution - 1 do
-    for i = 0 to t.resolution - 1 do
-      if get t i j then begin
-        incr n;
-        sx := !sx +. t.lo.Point.x +. ((float_of_int i +. 0.5) *. dx);
-        sy := !sy +. t.lo.Point.y +. ((float_of_int j +. 0.5) *. dy)
-      end
-    done
-  done;
-  if !n = 0 then invalid_arg "Grid_region.centroid: empty grid";
-  Point.make (!sx /. float_of_int !n) (!sy /. float_of_int !n)
-
-let bounding_box t =
-  let i_lo = ref max_int and j_lo = ref max_int in
-  let i_hi = ref min_int and j_hi = ref min_int in
-  for j = 0 to t.resolution - 1 do
-    for i = 0 to t.resolution - 1 do
-      if get t i j then begin
-        if i < !i_lo then i_lo := i;
-        if j < !j_lo then j_lo := j;
-        if i > !i_hi then i_hi := i;
-        if j > !j_hi then j_hi := j
-      end
-    done
-  done;
-  if !i_hi < !i_lo then None
-  else begin
-    let dx, dy = cell_size t in
-    Some
-      ( Point.make
-          (t.lo.Point.x +. (float_of_int !i_lo *. dx))
-          (t.lo.Point.y +. (float_of_int !j_lo *. dy)),
-        Point.make
-          (t.lo.Point.x +. (float_of_int (!i_hi + 1) *. dx))
-          (t.lo.Point.y +. (float_of_int (!j_hi + 1) *. dy)) )
-  end
-
-let to_region t =
-  (* One rectangle per maximal horizontal run of set cells: compact for the
-     large convex-ish blobs the solver produces, and trivially disjoint. *)
-  let dx, dy = cell_size t in
-  let polys = ref [] in
-  for j = t.resolution - 1 downto 0 do
-    let i = ref 0 in
-    while !i < t.resolution do
-      if get t !i j then begin
-        let i0 = !i in
-        while !i < t.resolution && get t !i j do incr i done;
-        let x0 = t.lo.Point.x +. (float_of_int i0 *. dx) in
-        let x1 = t.lo.Point.x +. (float_of_int !i *. dx) in
-        let y0 = t.lo.Point.y +. (float_of_int j *. dy) in
-        polys := Polygon.rectangle (Point.make x0 y0) (Point.make x1 (y0 +. dy)) :: !polys
-      end
-      else incr i
-    done
-  done;
-  Region.of_polygons !polys

@@ -5,14 +5,9 @@
     bounding box — whose boolean operations are trivially correct.  The
     property-test suite builds the same constraint systems in both
     representations and checks that areas and membership agree within raster
-    resolution.  It is also handy for quick area integrals, and — wrapped by
-    {!Region_backend} — it doubles as the solver's [grid] backend. *)
+    resolution.  It is also handy for quick area integrals. *)
 
 type t
-
-val blank : lo:Point.t -> hi:Point.t -> resolution:int -> t
-(** All-clear raster over the box (the backend's empty region).
-    Requires [resolution >= 1] and a non-degenerate box. *)
 
 val create : lo:Point.t -> hi:Point.t -> resolution:int -> (Point.t -> bool) -> t
 (** [create ~lo ~hi ~resolution pred] rasterizes [pred] on a
@@ -35,22 +30,6 @@ val contains : t -> Point.t -> bool
 (** Value of the cell containing the point; false outside the box. *)
 
 val cell_area : t -> float
-
-val count : t -> int
-(** Number of set cells. *)
-
-val centroid : t -> Point.t
-(** Mean of set-cell centers (equals the area-weighted centroid since
-    cells are uniform).
-    @raise Invalid_argument when no cell is set. *)
-
-val bounding_box : t -> (Point.t * Point.t) option
-(** Tight box around the set cells (cell-boundary aligned), [None] when
-    no cell is set. *)
-
-val to_region : t -> Region.t
-(** Exact region covering the set cells: one rectangle per maximal
-    horizontal run. *)
 
 val fill_fraction : t -> float
 (** Set cells over total cells. *)

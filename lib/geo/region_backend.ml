@@ -1,11 +1,10 @@
 (* Region backends: the concrete implementations of {!Region_intf.S} and
    the spec/instantiate machinery that picks one per localization.
 
-   Backends other than [exact] depend on world geometry (a raster needs
-   its box; the hybrid prefilter needs a lattice pitch matched to the
-   world span), so a backend cannot be a single global module: configs
-   carry a [spec] and [instantiate] builds the module once the world
-   region of a target is known. *)
+   The hybrid backend depends on world geometry (its prefilter needs a
+   lattice pitch matched to the world span), so a backend cannot be a
+   single global module: configs carry a [spec] and [instantiate] builds
+   the module once the world region of a target is known. *)
 
 (* ---- exact: Region.t verbatim ---- *)
 
@@ -33,37 +32,6 @@ module Exact = struct
 end
 
 let exact : Region_intf.packed = (module Exact)
-
-(* ---- grid: Grid_region rasters over the world box ---- *)
-
-let grid ~resolution ~world : Region_intf.packed =
-  let lo, hi =
-    match Region.bounding_box world with
-    | Some box -> box
-    | None -> invalid_arg "Region_backend.grid: empty world"
-  in
-  (module struct
-    type t = Grid_region.t
-
-    let name = "grid"
-    let empty = Grid_region.blank ~lo ~hi ~resolution
-    let is_empty t = Grid_region.count t = 0
-    let of_region r = Grid_region.of_region ~lo ~hi ~resolution r
-    let to_region = Grid_region.to_region
-    let pieces t = Region.pieces (Grid_region.to_region t)
-    let inter = Grid_region.inter
-    let union = Grid_region.union
-    let diff = Grid_region.diff
-    let area = Grid_region.area
-    let contains = Grid_region.contains
-    let centroid = Grid_region.centroid
-    let bounding_box = Grid_region.bounding_box
-
-    (* Raster op cost is fixed by the resolution, not by boundary
-       complexity, so there is nothing for [simplify] to buy. *)
-    let vertex_count _ = 0
-    let simplify ~tolerance:_ t = t
-  end)
 
 (* ---- hybrid: exact polygons behind a bbox + occupancy prefilter ----
 
@@ -307,22 +275,18 @@ let hybrid ~cells ~world : Region_intf.packed =
 
 (* ---- spec: the value that travels through configs and CLIs ---- *)
 
-type spec = Exact | Grid of { resolution : int } | Hybrid of { cells : int }
+type spec = Exact | Hybrid of { cells : int }
 
-let default_grid_resolution = 64
 let default_hybrid_cells = 96
 let default = Exact
 
 let instantiate spec ~world =
   match spec with
   | Exact -> exact
-  | Grid { resolution } -> grid ~resolution ~world
   | Hybrid { cells } -> hybrid ~cells ~world
 
 let spec_to_string = function
   | Exact -> "exact"
-  | Grid { resolution } when resolution = default_grid_resolution -> "grid"
-  | Grid { resolution } -> Printf.sprintf "grid:%d" resolution
   | Hybrid { cells } when cells = default_hybrid_cells -> "hybrid"
   | Hybrid { cells } -> Printf.sprintf "hybrid:%d" cells
 
@@ -332,18 +296,15 @@ let spec_of_string s =
     | None -> (s, None)
     | Some i -> (String.sub s 0 i, Some (String.sub s (i + 1) (String.length s - i - 1)))
   in
-  let sized name default k =
-    match param with
-    | None -> Ok (k default)
-    | Some p -> (
-        match int_of_string_opt p with
-        | Some v when v >= 4 && v <= 4096 -> Ok (k v)
-        | _ ->
-            Error
-              (Printf.sprintf "invalid %s parameter %S (expected an integer in 4..4096)" name p))
-  in
   match base with
   | "exact" -> if param = None then Ok Exact else Error "backend \"exact\" takes no parameter"
-  | "grid" -> sized "grid" default_grid_resolution (fun r -> Grid { resolution = r })
-  | "hybrid" -> sized "hybrid" default_hybrid_cells (fun c -> Hybrid { cells = c })
-  | _ -> Error (Printf.sprintf "unknown backend %S (expected exact, grid[:RES] or hybrid[:CELLS])" s)
+  | "hybrid" -> (
+      match param with
+      | None -> Ok (Hybrid { cells = default_hybrid_cells })
+      | Some p -> (
+          match int_of_string_opt p with
+          | Some v when v >= 4 && v <= 4096 -> Ok (Hybrid { cells = v })
+          | _ ->
+              Error
+                (Printf.sprintf "invalid hybrid parameter %S (expected an integer in 4..4096)" p)))
+  | _ -> Error (Printf.sprintf "unknown backend %S (expected exact or hybrid[:CELLS])" s)

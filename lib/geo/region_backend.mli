@@ -1,18 +1,15 @@
 (** Concrete region backends and the spec used to select one.
 
-    Three implementations of {!Region_intf.S}:
+    Two implementations of {!Region_intf.S}:
 
     - {b exact}: {!Region.t} verbatim — Bezier/polygon clipping, the
       default, bit-identical to the historical solver.
-    - {b grid}: {!Grid_region} rasters over the world box — boolean ops
-      are O(resolution²) regardless of boundary complexity; accuracy is
-      bounded by cell size.
     - {b hybrid}: exact polygons whose piece-pair clips are prefiltered
       by a bounding-box test (exact-equivalent skip) and a coarse
       occupancy bitmask on a world-aligned lattice (approximate skip) —
       generalizing the solver's historical ad-hoc [boxes_meet] check.
 
-    Grid and hybrid need world geometry, so configs carry a {!spec} and
+    Hybrid needs world geometry, so configs carry a {!spec} and
     {!instantiate} builds the first-class module per target once the
     world region is known. *)
 
@@ -21,11 +18,6 @@ module Exact : Region_intf.S with type t = Region.t
 val exact : Region_intf.packed
 (** {!Exact}, packed. *)
 
-val grid : resolution:int -> world:Region.t -> Region_intf.packed
-(** Raster backend over [world]'s bounding box at
-    [resolution × resolution] cells.
-    @raise Invalid_argument when [world] is empty. *)
-
 val hybrid : cells:int -> world:Region.t -> Region_intf.packed
 (** Prefiltered-exact backend; the occupancy lattice pitch is the world
     span divided by [cells].
@@ -33,12 +25,11 @@ val hybrid : cells:int -> world:Region.t -> Region_intf.packed
 
 (** {2 Selection} *)
 
-type spec = Exact | Grid of { resolution : int } | Hybrid of { cells : int }
+type spec = Exact | Hybrid of { cells : int }
 
 val default : spec
 (** [Exact]. *)
 
-val default_grid_resolution : int
 val default_hybrid_cells : int
 
 val instantiate : spec -> world:Region.t -> Region_intf.packed
@@ -46,8 +37,7 @@ val instantiate : spec -> world:Region.t -> Region_intf.packed
     [world]. *)
 
 val spec_of_string : string -> (spec, string) result
-(** Parse ["exact"], ["grid"], ["grid:RES"], ["hybrid"], ["hybrid:CELLS"]
-    (sizes in 4..4096). *)
+(** Parse ["exact"], ["hybrid"] or ["hybrid:CELLS"] (cells in 4..4096). *)
 
 val spec_to_string : spec -> string
 (** Inverse of {!spec_of_string}; defaults render without the size

@@ -3,36 +3,27 @@
     The paper makes location estimates first-class {e regions} precisely so
     the representation can evolve independently of the constraint logic.
     This signature is the contract every representation must honour; the
-    solver, the constraint layer, and the pipeline dispatch through a
-    first-class module of this type instead of calling {!Region} directly.
+    solver and the pipeline dispatch through a first-class module of this
+    type instead of calling {!Region} directly.
 
     Implementations (see {!Region_backend}):
 
     - {b exact} — {!Region}'s Bezier/polygon clipping.  [of_region] and
       [to_region] are the identity, so results are bit-identical to the
       pre-refactor solver.
-    - {b grid} — {!Grid_region} rasters over a fixed world box.  Boolean
-      ops are cellwise and O(cells); accuracy is bounded by cell size.
     - {b hybrid} — exact polygons behind a bbox + coarse-occupancy
       prefilter that skips clip calls whose operands cannot (or almost
       certainly do not) meet.
 
-    Contract notes:
-
-    - [of_region]/[to_region] convert at the boundary with the exact
-      world: constraint tessellation comes in as {!Region.t}, estimates
-      go out as {!Region.t}.  The round-trip may lose precision for
-      non-exact backends (that is the trade being made).
-    - [area], [contains], [centroid] and [bounding_box] answer in the
-      backend's own representation — for a raster, in whole cells.
-    - [simplify] may be the identity when the representation has no
-      vertex complexity to reduce. *)
+    [of_region]/[to_region] convert at the boundary with the exact world:
+    constraint tessellation comes in as {!Region.t}, estimates go out as
+    {!Region.t}. *)
 
 module type S = sig
   type t
 
   val name : string
-  (** Stable identifier ("exact", "grid", "hybrid") used in logs,
+  (** Stable identifier ("exact", "hybrid") used in logs,
       benches, and CLI round-trips. *)
 
   val empty : t
@@ -44,7 +35,7 @@ module type S = sig
 
   val to_region : t -> Region.t
   (** Export to the exact representation (for estimates, serialization,
-      rendering).  May over- or under-cover by the backend's resolution. *)
+      rendering). *)
 
   val pieces : t -> Polygon.t list
   (** The exact-world pieces of [to_region], without materializing the
@@ -68,8 +59,7 @@ module type S = sig
   val vertex_count : t -> int
 
   val simplify : tolerance:float -> t -> t
-  (** Reduce boundary complexity; a no-op for backends whose operation
-      cost does not grow with vertex count. *)
+  (** Reduce boundary complexity (Douglas–Peucker at [tolerance] km). *)
 end
 
 type 'r backend = (module S with type t = 'r)

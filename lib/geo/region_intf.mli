@@ -1,7 +1,7 @@
 (** The region-backend signature; see the implementation file for the
     full contract discussion.  Consumers dispatch through a first-class
     [(module S)] instead of calling {!Region} directly, which is what
-    makes the exact / grid / hybrid representations interchangeable. *)
+    makes the exact and hybrid representations interchangeable. *)
 
 module type S = sig
   type t
@@ -14,8 +14,7 @@ module type S = sig
   (** Import an exact region; the identity for the exact backend. *)
 
   val to_region : t -> Region.t
-  (** Export to the exact representation; may lose up to the backend's
-      resolution. *)
+  (** Export to the exact representation. *)
 
   val pieces : t -> Polygon.t list
   val inter : t -> t -> t
@@ -34,7 +33,6 @@ module type S = sig
   val vertex_count : t -> int
 
   val simplify : tolerance:float -> t -> t
-  (** A no-op for backends without vertex complexity. *)
 end
 
 type 'r backend = (module S with type t = 'r)

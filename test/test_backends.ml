@@ -2,12 +2,12 @@
 
    The parity property drives long random boolean chains (inter/diff/union
    of disks, annuli, and rectangles, all clipped to a fixed world box)
-   through the exact, grid, and hybrid backends via the same packed-module
-   interface the solver uses.  Grid and hybrid must agree with exact on
-   area within a tolerance derived from their lattice pitch, and on
-   membership at every sample point that sits safely away from all input
-   boundaries — the only place a raster or an occupancy-prefilter skip is
-   allowed to disagree.
+   through the exact and hybrid backends via the same packed-module
+   interface the solver uses, and through the Grid_region raster oracle.
+   The oracle and hybrid must agree with exact on area within a tolerance
+   derived from their lattice pitch, and on membership at every sample
+   point that sits safely away from all input boundaries — the only place
+   a raster or an occupancy-prefilter skip is allowed to disagree.
 
    The config tests pin Solver.default_config to the historical constants
    (threshold 140 vertices, tolerance 2 km) and check the threshold
@@ -27,7 +27,7 @@ let world_lo = pt (-400.0) (-400.0)
 let world_hi = pt 400.0 400.0
 let world () = Region.of_polygon (Polygon.rectangle world_lo world_hi)
 
-(* Shapes are clipped to the world box: the grid backend rasters only the
+(* Shapes are clipped to the world box: the raster oracle covers only the
    world, so mass outside it would diverge by construction, not by bug. *)
 let rand_shape rng =
   let cx = Stats.Rng.uniform rng (-320.0) 320.0 in
@@ -56,9 +56,33 @@ let rand_ops rng =
       in
       (op, rand_shape rng))
 
+(* The slice of {!Region_intf.S} a chain needs, which the raster oracle
+   also provides. *)
+module type CHAIN = sig
+  type t
+
+  val of_region : Region.t -> t
+  val inter : t -> t -> t
+  val diff : t -> t -> t
+  val union : t -> t -> t
+  val area : t -> float
+  val contains : t -> Point.t -> bool
+end
+
+let grid_resolution = 64
+
+(* The raster oracle at [grid_resolution]² cells over the world's box. *)
+let grid_oracle world : (module CHAIN) =
+  let lo, hi = Option.get (Region.bounding_box world) in
+  (module struct
+    include Grid_region
+
+    let of_region = Grid_region.of_region ~lo ~hi ~resolution:grid_resolution
+  end)
+
 (* Run the chain through any backend, abstractly.  Returns the final
    area plus membership at each probe point. *)
-let run_chain (module B : Region_intf.S) ops probes =
+let run_chain (module B : CHAIN) ops probes =
   let final =
     List.fold_left
       (fun acc (op, shape) ->
@@ -100,17 +124,14 @@ let prop_chain_parity =
             pt (Stats.Rng.uniform rng (-395.0) 395.0) (Stats.Rng.uniform rng (-395.0) 395.0))
       in
       let w = world () in
-      let grid_backend =
-        Region_backend.grid ~resolution:Region_backend.default_grid_resolution ~world:w
-      in
-      let hybrid_backend =
+      let (module Hybrid) =
         Region_backend.hybrid ~cells:Region_backend.default_hybrid_cells ~world:w
       in
       let exact_area, exact_in = run_chain (module Region_backend.Exact) ops probes in
-      let grid_area, grid_in = run_chain grid_backend ops probes in
-      let hybrid_area, hybrid_in = run_chain hybrid_backend ops probes in
+      let grid_area, grid_in = run_chain (grid_oracle w) ops probes in
+      let hybrid_area, hybrid_in = run_chain (module Hybrid) ops probes in
       let span = world_hi.Point.x -. world_lo.Point.x in
-      let grid_cell = span /. float_of_int Region_backend.default_grid_resolution in
+      let grid_cell = span /. float_of_int grid_resolution in
       let hybrid_cell = span /. float_of_int Region_backend.default_hybrid_cells in
       let shapes = w :: List.map snd ops in
       let perim = total_perimeter shapes in
@@ -147,27 +168,38 @@ let prop_chain_parity =
 let test_spec_round_trip () =
   let ok s = match Region_backend.spec_of_string s with Ok v -> v | Error e -> Alcotest.fail e in
   Alcotest.(check string) "exact" "exact" (Region_backend.spec_to_string (ok "exact"));
-  Alcotest.(check string) "grid default" "grid"
-    (Region_backend.spec_to_string (Region_backend.Grid { resolution = Region_backend.default_grid_resolution }));
-  Alcotest.(check string) "grid sized" "grid:128" (Region_backend.spec_to_string (ok "grid:128"));
+  Alcotest.(check string) "hybrid default" "hybrid" (Region_backend.spec_to_string (ok "hybrid"));
   Alcotest.(check string) "hybrid sized" "hybrid:32"
     (Region_backend.spec_to_string (ok "hybrid:32"));
-  (match Region_backend.spec_of_string "grid:2" with
-  | Ok _ -> Alcotest.fail "grid:2 should be rejected (below the size floor)"
-  | Error _ -> ());
-  (match Region_backend.spec_of_string "voronoi" with
-  | Ok _ -> Alcotest.fail "unknown backend should be rejected"
-  | Error _ -> ())
+  List.iter
+    (fun (s, why) ->
+      match Region_backend.spec_of_string s with
+      | Ok _ -> Alcotest.failf "%s should be rejected (%s)" s why
+      | Error _ -> ())
+    [
+      ("hybrid:2", "below the size floor");
+      ("voronoi", "unknown backend");
+      ("grid", "not a solver backend");
+      ("grid:128", "not a solver backend");
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Backends through the solver *)
 (* ------------------------------------------------------------------ *)
 
-(* Overlapping annuli in a square world (shared with the refinement
-   suite): their mutual clips build cells whose boundaries exceed the
-   140-vertex simplify threshold. *)
-let solver_world () = Test_support.Rings.world ()
-let ring_constraints () = Test_support.Rings.constraints ()
+(* Overlapping annuli in a square world: their mutual clips build cells
+   whose boundaries exceed the 140-vertex simplify threshold. *)
+let solver_world () = Region.of_polygon (Polygon.rectangle (pt (-600.0) (-600.0)) (pt 600.0 600.0))
+
+let ring_constraints () =
+  List.init 8 (fun k ->
+      let a = 0.8 *. float_of_int k in
+      Octant.Constr.ring
+        ~center:(pt (60.0 *. cos a) (60.0 *. sin a))
+        ~r_inner_km:(50.0 +. (6.0 *. float_of_int k))
+        ~r_outer_km:(210.0 +. (9.0 *. float_of_int k))
+        ~weight:1.0
+        ~source:(Printf.sprintf "ring %d" k))
 
 let solve_with ?config ?backend () =
   let world = solver_world () in
@@ -194,8 +226,6 @@ let test_config_defaults_pinned () =
     Octant.Solver.default_config.Octant.Solver.simplify_tolerance_km;
   Alcotest.(check bool) "no hardening" true
     (Octant.Solver.default_config.Octant.Solver.harden = None);
-  Alcotest.(check bool) "no refinement" true
-    (Octant.Solver.default_config.Octant.Solver.refine = None);
   (* Leaving config out and spelling out today's constants are the same
      arrangement, bit for bit. *)
   let est_implicit, s_implicit = solve_with () in
@@ -206,7 +236,6 @@ let test_config_defaults_pinned () =
           Octant.Solver.simplify_vertex_threshold = 140;
           simplify_tolerance_km = 2.0;
           harden = None;
-          refine = None;
         }
       ()
   in
@@ -228,7 +257,6 @@ let test_config_threshold_gates_simplification () =
           Octant.Solver.simplify_vertex_threshold = max_int;
           simplify_tolerance_km = 2.0;
           harden = None;
-          refine = None;
         }
       ()
   in
@@ -262,17 +290,7 @@ let test_solver_backend_parity () =
   if rel > 0.02 then
     Alcotest.failf "hybrid estimate area drifted %.1f%% from exact" (100.0 *. rel);
   if Point.dist est_hybrid.Octant.Solver.point est_exact.Octant.Solver.point > 5.0 then
-    Alcotest.fail "hybrid point estimate drifted more than 5 km from exact";
-  let est_grid, s_grid =
-    solve_with ~backend:(Region_backend.Grid { resolution = 128 }) ()
-  in
-  Alcotest.(check string) "grid name" "grid" (Octant.Solver.backend_name s_grid);
-  let ratio = est_grid.Octant.Solver.area_km2 /. Float.max est_exact.Octant.Solver.area_km2 1.0 in
-  if not (ratio > 0.4 && ratio < 2.5) then
-    Alcotest.failf "grid estimate area %.0f km2 implausible vs exact %.0f km2"
-      est_grid.Octant.Solver.area_km2 est_exact.Octant.Solver.area_km2;
-  if Point.dist est_grid.Octant.Solver.point est_exact.Octant.Solver.point > 60.0 then
-    Alcotest.fail "grid point estimate drifted more than 60 km from exact"
+    Alcotest.fail "hybrid point estimate drifted more than 5 km from exact"
 
 let suite =
   [

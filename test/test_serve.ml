@@ -615,75 +615,6 @@ let test_binary_json_parity () =
       Unix.close bfd;
       Unix.close jfd)
 
-(* ---- adaptive refinement through the live daemon ---- *)
-
-(* The daemon's contract is unchanged by --landmark-budget/--refine: the
-   refinement knob rides in the prepared context, so every reply must
-   still be bit-identical to a direct [Pipeline.localize_batch] over the
-   same refined context — on both codecs.  One config per flag spelling:
-   the anytime defaults (--refine) and a single-round budget
-   (--landmark-budget 8). *)
-let test_refined_daemon_parity () =
-  List.iter
-    (fun (cname, rc) ->
-      let ctx, rng, target_rtts = make_ctx () in
-      let rctx = Octant.Pipeline.with_refine ctx (Some rc) in
-      let config =
-        { Server.default_config with Server.batch_delay_s = 0.0; cache_capacity = 0 }
-      in
-      let srv = Server.start ~config ~ctx:rctx () in
-      Fun.protect
-        ~finally:(fun () -> Server.stop srv)
-        (fun () ->
-          let port = Server.port srv in
-          let jfd, ic, oc = connect port in
-          let bfd = binary_connect port in
-          let all_rtts =
-            Array.init 3 (fun _ ->
-                target_rtts
-                  (Geo.Geodesy.coord
-                     ~lat:(Stats.Rng.uniform rng 34.0 44.0)
-                     ~lon:(Stats.Rng.uniform rng (-112.0) (-82.0))))
-          in
-          let direct =
-            Octant.Pipeline.localize_batch ~jobs:2 rctx (Array.map obs_of_rtts all_rtts)
-          in
-          Array.iteri
-            (fun i rtts ->
-              let what = Printf.sprintf "%s target %d" cname i in
-              let id = Printf.sprintf "%s-%d" cname i in
-              let jreply = parse_reply (roundtrip ic oc (localize_line ~id rtts)) in
-              (match direct.(i) with
-              | Ok est -> check_reply_matches what est jreply
-              | Error reason ->
-                  Alcotest.failf "%s: direct refined localize failed: %s" what reason);
-              let req =
-                {
-                  Protocol.id = Json.Str id;
-                  rtt_ms = rtts;
-                  whois = None;
-                  deadline_ms = None;
-                  want_audit = false;
-                }
-              in
-              let breply = binary_roundtrip bfd (Protocol.Localize req) in
-              if not (Json.equal jreply breply) then
-                Alcotest.failf "%s: codecs diverge under refinement\n  json:   %s\n  binary: %s"
-                  what (Json.to_string jreply) (Json.to_string breply))
-            all_rtts;
-          Unix.close bfd;
-          Unix.close jfd))
-    [
-      ("refine", Octant.Solver.default_refine);
-      ( "budget8",
-        {
-          Octant.Solver.default_refine with
-          Octant.Solver.budget = 8;
-          initial = 8;
-          step = 8;
-        } );
-    ]
-
 (* ---- a pathological id is one request's problem, not the loop's ---- *)
 
 (* Regression: the binary codec carried ids behind a 16-bit length, so a
@@ -1013,8 +944,6 @@ let suite =
           test_binary_json_parity;
         Alcotest.test_case "pathological ids answered on both codecs" `Quick
           test_huge_id_live;
-        Alcotest.test_case "refined context bit-identical through the daemon" `Slow
-          test_refined_daemon_parity;
         Alcotest.test_case "connection cap refuses instead of wedging" `Quick
           test_connection_cap;
         Alcotest.test_case "slow-loris client does not stall others" `Quick test_slow_loris;

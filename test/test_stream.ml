@@ -173,6 +173,64 @@ let test_out_of_order_epochs_and_retire () =
         Alcotest.failf "constraint with epoch %d survived retire <= 3" c.Octant.Constr.epoch)
     log
 
+(* ---- hardened sessions ---- *)
+
+(* Every field but the [solve_time_s] stopwatch. *)
+let identical (a : Octant.Estimate.t) (b : Octant.Estimate.t) =
+  { a with Octant.Estimate.solve_time_s = 0.0 } = { b with Octant.Estimate.solve_time_s = 0.0 }
+
+(* Under hardening a session pins each landmark's consistency scale at
+   creation and applies it to every streamed delta from that landmark.
+   Two landmarks report deflated RTTs, so the scorer has someone to
+   down-weight and the pinned scales are not all 1.0. *)
+let test_hardened_session () =
+  let w = Lazy.force fixture in
+  let plain = Lazy.force fixture_ctx in
+  let ctx = Pipeline.with_harden plain (Some Octant.Harden.default) in
+  let n = Array.length w.World.landmarks in
+  let liar = 1 in
+  let constraints ctx obs = (Pipeline.prepare_target ctx obs).Pipeline.constraints in
+  for t = 0 to 2 do
+    let rtts = (World.observe w (World.random_truth w)).Pipeline.target_rtt_ms in
+    List.iter (fun i -> rtts.(i) <- 0.35 *. rtts.(i)) [ liar; 4 ];
+    let obs = Pipeline.observations_of_rtts rtts in
+    let session, est0 = Session.create ctx obs in
+    if not (identical est0 (Pipeline.localize ctx obs)) then
+      Alcotest.failf "target %d: hardened session base diverges from localize" t;
+    let rng = Stats.Rng.create (9100 + t) in
+    let entry () =
+      let lm = Stats.Rng.int rng n in
+      (lm, rtts.(lm) *. Stats.Rng.uniform rng 0.9 1.1)
+    in
+    for epoch = 1 to 8 do
+      let est = Session.fold session { Session.d_rtts = [| entry (); entry () |]; d_epoch = epoch } in
+      check_parity (Printf.sprintf "target %d fold %d" t epoch) session est
+    done;
+    (* Re-sending the liar's base RTT must rebuild its base constraints
+       weight for weight, at less than the unhardened weight: the delta
+       reuses the pinned scale. *)
+    ignore (Session.fold session { Session.d_rtts = [| (liar, rtts.(liar)) |]; d_epoch = 9 });
+    let log = Session.constraint_log session in
+    let source = (List.find (fun (c : Octant.Constr.t) -> c.Octant.Constr.epoch = 9) log).Octant.Constr.source in
+    let weights epoch cs =
+      List.filter_map
+        (fun (c : Octant.Constr.t) ->
+          if c.Octant.Constr.epoch = epoch && c.Octant.Constr.source = source then
+            Some c.Octant.Constr.weight
+          else None)
+        cs
+    in
+    let repeated = weights 9 log in
+    if repeated <> weights 0 log then
+      Alcotest.failf "target %d: repeated liar RTT carries different weights than its base" t;
+    if List.fold_left Float.max 0.0 repeated >= List.fold_left Float.max 0.0 (weights 0 (constraints plain obs))
+    then Alcotest.failf "target %d: hardening did not down-weight the liar" t;
+    let est = Session.retire session ~upto_epoch:4 in
+    check_parity (Printf.sprintf "target %d retire" t) session est;
+    if not (identical (Session.estimate session) (Session.replay_estimate session)) then
+      Alcotest.failf "target %d: hardened session diverges from its replay" t
+  done
+
 (* ---- bounded session registry ---- *)
 
 (* The daemon and [octant_cli stream] keep sessions in a plain [Lru]
@@ -464,6 +522,8 @@ let suite =
           test_parity_vs_batch_jobs;
         Alcotest.test_case "out-of-order epochs, duplicate deltas, retire accounting" `Quick
           test_out_of_order_epochs_and_retire;
+        Alcotest.test_case "hardened session: base = localize, folds = replay" `Quick
+          test_hardened_session;
         Alcotest.test_case "bounded session registry evicts LRU" `Quick
           test_sessions_registry;
         Alcotest.test_case "golden stream trace" `Quick test_stream_golden;
