@@ -19,8 +19,15 @@ let () =
   let inter = Eval.Bridge.inter_rtt_for bridge lm_indices in
   let obs = Eval.Bridge.observations bridge ~landmark_indices:all ~target in
   let ctx = Octant.Pipeline.prepare ~landmarks ~inter_landmark_rtt_ms:inter () in
-  let prepared, solver = Octant.Pipeline.arrangement ~undns:Eval.Bridge.undns ctx obs in
+  let prepared = Octant.Pipeline.prepare_target ~undns:Eval.Bridge.undns ctx obs in
   let est = Octant.Pipeline.localize ~undns:Eval.Bridge.undns ctx obs in
+  (* The posterior needs the whole arrangement, not [Pipeline.arrangement]'s
+     pruned one. *)
+  let solver =
+    Octant.Solver.add_all ~max_cells:(Octant.Pipeline.config ctx).Octant.Pipeline.max_cells
+      (Octant.Solver.create ~world:prepared.Octant.Pipeline.world ())
+      prepared.Octant.Pipeline.constraints
+  in
   let posterior = Octant.Posterior.of_solver solver in
   let projection = prepared.Octant.Pipeline.projection in
 

@@ -55,9 +55,8 @@ let c_harden_targets = Obs.Telemetry.Counter.make ~domain:"harden" "targets_scor
 let c_harden_downweighted =
   Obs.Telemetry.Counter.make ~domain:"harden" "landmarks_downweighted"
 
-(* Wall per target; latency-valued, so never part of the determinism
-   signature.  Observed in seconds ([Sys.time] is process CPU time, which
-   over-reports under concurrency — see [Estimate.solve_time_s]). *)
+(* Wall per target on the monotonic clock; latency-valued, so never part
+   of the determinism signature.  Observed in seconds. *)
 let h_localize = Obs.Telemetry.Histogram.make ~unit_:"s" ~domain:"pipeline" "localize_s"
 
 type landmark = { lm_key : int; lm_position : Geo.Geodesy.coord }
@@ -630,7 +629,8 @@ let arrangement ?undns ctx obs =
   let prepared = prepare_target ?undns ctx obs in
   let solver =
     Obs.Telemetry.with_span "add_constraints" @@ fun () ->
-    Solver.add_all ~max_cells:ctx.cfg.max_cells ~tessellate:(tessellate ctx)
+    Solver.add_all_pruned ~max_cells:ctx.cfg.max_cells ~tessellate:(tessellate ctx)
+      ~area_threshold_km2:ctx.cfg.area_threshold_km2 ~weight_band:ctx.cfg.weight_band
       (solver_for ctx prepared.world)
       prepared.constraints
   in
@@ -638,13 +638,13 @@ let arrangement ?undns ctx obs =
 
 let localize ?undns ctx obs =
   Obs.Telemetry.with_span "localize" @@ fun () ->
-  let t_start = Sys.time () in
+  let t_start = Obs.Telemetry.now_s () in
   let prepared, solver = arrangement ?undns ctx obs in
   let sol =
     Solver.solve ~area_threshold_km2:ctx.cfg.area_threshold_km2 ~weight_band:ctx.cfg.weight_band
       solver
   in
-  let elapsed = Sys.time () -. t_start in
+  let elapsed = Obs.Telemetry.now_s () -. t_start in
   Obs.Telemetry.Counter.incr c_targets;
   Obs.Telemetry.Histogram.observe h_localize elapsed;
   {
@@ -729,14 +729,15 @@ module Session = struct
       solve_time_s = elapsed;
     }
 
-  (* Creation mirrors [localize] exactly — the same assembly folded into
-     the same fresh arrangement — so the session's first estimate is
-     bit-identical to the one-shot path over the same observations.  The
-     assembled constraints are the session's initial log, not a fold, so
-     [folds] counts streamed deltas only. *)
+  (* Creation mirrors [localize] — the same assembly folded into the same
+     fresh arrangement, unpruned because later deltas are unknown — so the
+     session's first estimate is bit-identical to the one-shot path
+     whenever [Solver.add_all_pruned]'s contract applies.  The assembled
+     constraints are the session's initial log, not a fold, so [folds]
+     counts streamed deltas only. *)
   let create ?undns ?(epoch = 0) ctx obs =
     Obs.Telemetry.with_span "session.create" @@ fun () ->
-    let t_start = Sys.time () in
+    let t_start = Obs.Telemetry.now_s () in
     let prepared, weight_scales = prepare_target_full ?undns ctx obs in
     let max_cells, tess, area_threshold_km2, weight_band = knobs ctx in
     let solver_session =
@@ -757,10 +758,10 @@ module Session = struct
       }
     in
     let sol = Solver.Session.estimate solver_session in
-    (s, estimate_of s sol ~elapsed:(Sys.time () -. t_start))
+    (s, estimate_of s sol ~elapsed:(Obs.Telemetry.now_s () -. t_start))
 
   let fold s { d_rtts; d_epoch } =
-    let t_start = Sys.time () in
+    let t_start = Obs.Telemetry.now_s () in
     let cs =
       List.concat_map
         (fun entry -> delta_constraints s entry ~epoch:d_epoch)
@@ -775,17 +776,17 @@ module Session = struct
     in
     if d_epoch > s.s_last_epoch then s.s_last_epoch <- d_epoch;
     let sol = Solver.Session.fold s.s_solver cs in
-    estimate_of s sol ~elapsed:(Sys.time () -. t_start)
+    estimate_of s sol ~elapsed:(Obs.Telemetry.now_s () -. t_start)
 
   let retire s ~upto_epoch =
-    let t_start = Sys.time () in
+    let t_start = Obs.Telemetry.now_s () in
     let sol = Solver.Session.retire s.s_solver ~upto_epoch in
-    estimate_of s sol ~elapsed:(Sys.time () -. t_start)
+    estimate_of s sol ~elapsed:(Obs.Telemetry.now_s () -. t_start)
 
   let estimate s =
-    let t_start = Sys.time () in
+    let t_start = Obs.Telemetry.now_s () in
     let sol = Solver.Session.estimate s.s_solver in
-    estimate_of s sol ~elapsed:(Sys.time () -. t_start)
+    estimate_of s sol ~elapsed:(Obs.Telemetry.now_s () -. t_start)
 
   (* The parity comparator: a from-scratch batch recompute over exactly
      the constraints the session holds, through a fresh arrangement with
@@ -794,7 +795,7 @@ module Session = struct
      are bit-identical at every feed prefix — the safety rail every
      streaming test and the bench gate lean on. *)
   let replay_estimate s =
-    let t_start = Sys.time () in
+    let t_start = Obs.Telemetry.now_s () in
     let max_cells, tess, area_threshold_km2, weight_band = knobs s.s_ctx in
     let fresh =
       Solver.add_all ~max_cells ~tessellate:tess
@@ -802,7 +803,7 @@ module Session = struct
         (Solver.Session.log s.s_solver)
     in
     let sol = Solver.solve ~area_threshold_km2 ~weight_band fresh in
-    estimate_of s sol ~elapsed:(Sys.time () -. t_start)
+    estimate_of s sol ~elapsed:(Obs.Telemetry.now_s () -. t_start)
 
   let live_constraints s = Solver.Session.live_constraints s.s_solver
   let folds s = Solver.Session.folds s.s_solver

@@ -134,7 +134,13 @@ val arrangement :
   context ->
   observations ->
   prepared_target * Solver.t
-(** Assembly plus the weighted arrangement, before estimate extraction. *)
+(** Assembly plus the weighted arrangement, before estimate extraction.
+    The arrangement is folded with {!Solver.add_all_pruned} for the
+    context's own [area_threshold_km2] and [weight_band]: it holds only
+    the cells that solve can select, it is final ({!Solver.add} raises),
+    and {!Solver.solve} with other settings may raise.  Fold
+    [prepare_target]'s constraints with {!Solver.add_all} for the whole
+    arrangement (e.g. for {!Posterior.of_solver}). *)
 
 val localize :
   ?undns:(string -> Geo.Geodesy.coord option) ->
@@ -183,9 +189,8 @@ val localize_batch :
     [chunk] setting ([chunk] is the work-queue granularity, forwarded to
     {!Parallel.init}; when omitted the pool picks an amortizing default of
     about eight chunks per domain).
-    The only field that varies is [solve_time_s], a stopwatch reading
-    ([Sys.time] is process-wide CPU time, so it over-reports under
-    concurrency).  A target with a malformed observation yields [Error
+    The only field that varies is [solve_time_s], a monotonic wall-clock
+    stopwatch reading.  A target with a malformed observation yields [Error
     reason] in its slot (counted under [pipeline.batch_skipped] when
     telemetry is on) without disturbing the other targets; any other
     worker exception is re-raised after all workers drain. *)
@@ -229,8 +234,11 @@ module Session : sig
     observations ->
     t * Estimate.t
   (** Open a session from a full base observation vector (epoch tag
-      default 0).  The returned estimate is bit-identical to {!localize}
-      over the same observations.
+      default 0).  Sessions fold with {!Solver.add_all}, since their later
+      constraints are unknown; the returned estimate is bit-identical to
+      {!localize} over the same observations whenever
+      {!Solver.add_all_pruned}'s contract applies (neither fold fuses
+      cells).
       @raise Invalid_argument on the same malformed observations as
       {!localize}. *)
 

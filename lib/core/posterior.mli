@@ -11,7 +11,10 @@
 type t
 
 val of_solver : Solver.t -> t
-(** Build the measure from a solved arrangement.
+(** Build the measure from a solved arrangement.  It needs the whole,
+    unpruned arrangement ({!Solver.add_all}): a
+    {!Solver.add_all_pruned} arrangement holds only the cells the
+    estimate can select, so the measure would miss the rest of the world.
     @raise Invalid_argument on an empty arrangement. *)
 
 val density_at : t -> Geo.Point.t -> float

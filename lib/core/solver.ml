@@ -29,6 +29,10 @@ type t =
       backend : 'r Geo.Region_intf.backend;
       config : config;
       cells : 'r cell list;
+      prune_bound : float option;
+          (* [Some b] once [add_all_pruned] has dropped cells: no dropped
+             cell's descendant in the complete fold weighs more than [b].
+             Such an arrangement is final. *)
     }
       -> t
 
@@ -41,6 +45,8 @@ let c_cells_fused = Obs.Telemetry.Counter.make ~domain:"solver" "cells_fused"
 let c_solves = Obs.Telemetry.Counter.make ~domain:"solver" "solves"
 let c_cells_selected = Obs.Telemetry.Counter.make ~domain:"solver" "cells_selected"
 let c_cells_trimmed = Obs.Telemetry.Counter.make ~domain:"solver" "cells_trimmed"
+let c_cells_pruned = Obs.Telemetry.Counter.make ~domain:"solver" "cells_pruned"
+let c_prune_fallbacks = Obs.Telemetry.Counter.make ~domain:"solver" "prune_fallbacks"
 
 (* Area flowing through cap fusion, km^2 rounded per event so the sums
    stay integer-associative (and therefore jobs-independent).  [before]
@@ -71,7 +77,7 @@ let mk_cell (type r) ((module B) : r Geo.Region_intf.backend) cfg ?(approx = fal
 let create ?(config = default_config) ?(backend = Geo.Region_backend.exact) ~world () =
   let (module B) = backend in
   match mk_cell (module B) config (B.of_region world) 0.0 with
-  | Some c -> Packed { backend = (module B); config; cells = [ c ] }
+  | Some c -> Packed { backend = (module B); config; cells = [ c ]; prune_bound = None }
   | None -> invalid_arg "Solver.create: empty world"
 
 (* Fuse the lightest-smallest cells to respect the cap.  Fused cells keep
@@ -148,9 +154,12 @@ let split_cell (type r) ((module B) : r Geo.Region_intf.backend) cfg
 let default_tessellate (constr : Constr.t) = Constr.region_of_shape constr.Constr.shape
 
 let add ?(max_cells = 384) ?(tessellate = default_tessellate) t (constr : Constr.t) =
+  (match t with
+  | Packed { prune_bound = Some _; _ } -> invalid_arg "Solver.add: a pruned arrangement is final"
+  | Packed { prune_bound = None; _ } -> ());
   Obs.Telemetry.with_span "solver.add" (fun () ->
       match t with
-      | Packed { backend = (module B); config; cells } ->
+      | Packed { backend = (module B); config; cells; _ } ->
           let w = constr.Constr.weight in
           (* Tessellation stays in the exact world (so the geometry cache
              is backend-agnostic); the backend imports it once per
@@ -213,6 +222,7 @@ let add ?(max_cells = 384) ?(tessellate = default_tessellate) t (constr : Constr
               backend = (module B);
               config;
               cells = enforce_cap (module B) config max_cells next;
+              prune_bound = None;
             })
 
 let add_all ?max_cells ?tessellate t constraints =
@@ -236,6 +246,130 @@ let cells t =
 
 let backend_name t = match t with Packed { backend = (module B); _ } -> B.name
 
+(* The selection rule of [solve], shared with the pruning certificate.
+   Returns the top cell, the selected cells heaviest first, and how many
+   band cells the consensus trim dropped. *)
+let select (type r) ((module B) : r Geo.Region_intf.backend) config ~area_threshold_km2
+    ~weight_band (cells : r cell list) =
+  match sorted_cells cells with
+  | [] -> invalid_arg "Solver.solve: empty arrangement"
+  | first :: _ as sorted ->
+      (* Cells within [weight_band] of the top weight are near-optimal
+         under a few violated constraints and are always included; beyond
+         the band, cells are added only until the area threshold is met. *)
+      let band_floor = weight_band *. first.weight in
+      (* Hardened consensus trim: a coalition's fake region can climb to
+         within the weight band of the truth, but it sits far from the
+         top-weight cell.  Band cells beyond the trim radius are dropped
+         before they can ride the band into the estimate.  The top cell
+         itself is at distance zero, so at least one cell survives. *)
+      let trimmed = ref 0 in
+      let trim =
+        match config.harden with
+        | None -> fun _ -> false
+        | Some h ->
+            let top_centroid = B.centroid first.region in
+            fun (c : _ cell) ->
+              let far = Geo.Point.dist (B.centroid c.region) top_centroid > h.Harden.trim_band_km in
+              if far then incr trimmed;
+              far
+      in
+      let rec take acc acc_area = function
+        | [] -> List.rev acc
+        | (c : _ cell) :: rest ->
+            if c.weight >= band_floor -. 1e-9 then
+              if trim c then take acc acc_area rest else take (c :: acc) (acc_area +. c.area) rest
+            else if acc <> [] && acc_area >= area_threshold_km2 then List.rev acc
+            else take (c :: acc) (acc_area +. c.area) rest
+      in
+      let selected = take [] 0.0 sorted in
+      (first, selected, !trimmed)
+
+(* The pruning certificate.  Every cell missing from a pruned arrangement
+   weighs at most [bound].  If no such cell is a band cell, and the
+   selected cells heavier than [bound] already cover the threshold, then
+   [take] over the complete arrangement stops before it reaches a missing
+   cell, and selects exactly what it selects here.  The heavy cells are a
+   prefix of [selected], so their area sums in [take]'s own order. *)
+let certified ~area_threshold_km2 ~weight_band ~bound (first : _ cell) selected =
+  let heavy = List.filter (fun (c : _ cell) -> c.weight > bound) selected in
+  bound < (weight_band *. first.weight) -. 1e-9
+  && heavy <> []
+  && List.fold_left (fun acc (c : _ cell) -> acc +. c.area) 0.0 heavy >= area_threshold_km2
+
+(* The lighter of the band floor and L, the weight at which the heaviest
+   exact cells already cover the threshold.  A cell that ends below both
+   is neither a band cell nor reached by the fill.  Approximate cells may
+   overlap exact ones, so their area does not count toward L. *)
+let selection_cut ~area_threshold_km2 ~weight_band cells =
+  match sorted_cells cells with
+  | [] -> neg_infinity
+  | first :: _ as sorted ->
+      let rec cover acc = function
+        | [] -> neg_infinity
+        | c :: rest ->
+            if c.approx then cover acc rest
+            else
+              let acc = acc +. c.area in
+              if acc >= area_threshold_km2 then c.weight else cover acc rest
+      in
+      Float.min (cover 0.0 sorted) (weight_band *. first.weight)
+
+let add_all_pruned ?max_cells ?tessellate ~area_threshold_km2 ~weight_band t constraints =
+  (* [rest] is the weight of the constraints after each one.  Weights are
+     non-negative, so no point gains more than [rest] from there on. *)
+  let _, rests =
+    List.fold_right
+      (fun (c : Constr.t) (r, acc) -> (r +. c.Constr.weight, r :: acc))
+      constraints (0.0, [])
+  in
+  let pass () =
+    List.fold_left2
+      (fun (t, bound, pruned) c rest ->
+        match add ?max_cells ?tessellate t c with
+        | Packed p ->
+            let cut = selection_cut ~area_threshold_km2 ~weight_band p.cells in
+            (* The 1e-9 is [take]'s band slack: it absorbs the rounding
+               gap between [rest] and a descendant's own sum. *)
+            let kept, dropped =
+              List.partition (fun (c : _ cell) -> c.weight +. rest +. 1e-9 >= cut) p.cells
+            in
+            if dropped = [] then (Packed p, bound, pruned)
+            else
+              let bound =
+                List.fold_left
+                  (fun b (c : _ cell) -> Float.max b (c.weight +. rest +. 1e-9))
+                  bound dropped
+              in
+              let n = List.length dropped in
+              Obs.Telemetry.Counter.add c_cells_pruned n;
+              (Packed { p with cells = kept }, bound, pruned + n))
+      (t, neg_infinity, 0) constraints rests
+  in
+  (* The discarded pass of a fallback must not reach the audit log: its
+     entries are held back until the certificate holds. *)
+  let (folded, bound, pruned), entries =
+    if Obs.Telemetry.Audit.collecting () then Obs.Telemetry.Audit.collect pass else (pass (), [])
+  in
+  let result =
+    match folded with
+    | _ when pruned = 0 -> Some folded
+    | Packed ({ backend = (module B); config; cells; _ } as p) ->
+        let first, selected, _ =
+          select (module B) config ~area_threshold_km2 ~weight_band cells
+        in
+        if certified ~area_threshold_km2 ~weight_band ~bound first selected then
+          Some (Packed { p with prune_bound = Some bound })
+        else None
+  in
+  match result with
+  | Some t ->
+      List.iter Obs.Telemetry.Audit.record entries;
+      t
+  | None ->
+      Obs.Telemetry.Counter.incr c_prune_fallbacks;
+      add_all ?max_cells ?tessellate t constraints
+
 type estimate = {
   region : Geo.Region.t;
   weight : float;
@@ -247,108 +381,81 @@ type estimate = {
 let solve ?(area_threshold_km2 = 5000.0) ?(weight_band = 1.0) t =
   Obs.Telemetry.with_span "solver.solve" @@ fun () ->
   match t with
-  | Packed { backend = (module B); config; cells; _ } -> (
-      match sorted_cells cells with
-      | [] -> invalid_arg "Solver.solve: empty arrangement"
-      | first :: _ as sorted ->
-          (* Cells within [weight_band] of the top weight are near-optimal
-             under a few violated constraints and are always included; beyond
-             the band, cells are added only until the area threshold is met. *)
-          let band_floor = weight_band *. first.weight in
-          (* Hardened consensus trim: a coalition's fake region can climb to
-             within the weight band of the truth, but it sits far from the
-             top-weight cell.  Band cells beyond the trim radius are dropped
-             before they can ride the band into the estimate.  The top cell
-             itself is at distance zero, so at least one cell survives. *)
-          let trimmed = ref 0 in
-          let trim =
-            match config.harden with
-            | None -> fun _ -> false
-            | Some h ->
-                let top_centroid = B.centroid first.region in
-                fun (c : _ cell) ->
-                  let far =
-                    Geo.Point.dist (B.centroid c.region) top_centroid > h.Harden.trim_band_km
-                  in
-                  if far then incr trimmed;
-                  far
-          in
-          let rec take acc acc_area used = function
-            | [] -> (List.rev acc, used)
-            | (c : _ cell) :: rest ->
-                if c.weight >= band_floor -. 1e-9 then
-                  if trim c then take acc acc_area used rest
-                  else take (c :: acc) (acc_area +. c.area) (used + 1) rest
-                else if used > 0 && acc_area >= area_threshold_km2 then (List.rev acc, used)
-                else take (c :: acc) (acc_area +. c.area) (used + 1) rest
-          in
-          let selected, used = take [] 0.0 0 sorted in
-          Obs.Telemetry.Counter.add c_cells_trimmed !trimmed;
-          Obs.Telemetry.Counter.incr c_solves;
-          Obs.Telemetry.Counter.add c_cells_selected used;
-          (* Exact cells are disjoint by construction, so their union is
-             concatenation.  Approximate cells (cap-fusion rectangles and their
-             fragments) may overlap the exact ones, so each is clipped against
-             the other selected cells before it joins the region — otherwise
-             [area_km2] and the reported region would double-count the
-             overlap.  Only selected cells pay this; a bbox test skips the
-             pairs that cannot meet. *)
-          let exact_sel, approx_sel = List.partition (fun c -> not c.approx) selected in
-          let boxes_meet (alo, ahi) (blo, bhi) =
-            alo.Geo.Point.x < bhi.Geo.Point.x
-            && ahi.Geo.Point.x > blo.Geo.Point.x
-            && alo.Geo.Point.y < bhi.Geo.Point.y
-            && ahi.Geo.Point.y > blo.Geo.Point.y
-          in
-          let approx_regions =
-            List.fold_left
-              (fun clipped a ->
-                let r =
-                  List.fold_left
-                    (fun acc e ->
-                      if B.is_empty acc || not (boxes_meet a.bbox e.bbox) then acc
-                      else B.diff acc e.region)
-                    a.region exact_sel
-                in
-                (* Earlier approximate cells were already clipped; subtract
-                   them too so approx/approx overlap is not counted twice. *)
-                let r =
-                  List.fold_left
-                    (fun acc prev -> if B.is_empty acc then acc else B.diff acc prev)
-                    r clipped
-                in
-                r :: clipped)
-              [] approx_sel
-          in
-          let region =
-            Geo.Region.of_polygons
-              (List.concat_map (fun (c : _ cell) -> B.pieces c.region) exact_sel
-              @ List.concat_map B.pieces approx_regions)
-          in
-          (* The point estimate comes from the top-weight tier only: averaging
-             over the whole reported region would let large low-confidence
-             cells drag the point away from where the evidence concentrates. *)
-          let top_tier =
-            List.filter (fun (c : _ cell) -> c.weight >= (0.995 *. first.weight) -. 1e-9) selected
-          in
-          let top_tier = if top_tier = [] then [ first ] else top_tier in
-          let total_mass =
-            List.fold_left (fun acc (c : _ cell) -> acc +. ((c.weight +. 1e-9) *. c.area)) 0.0 top_tier
-          in
-          let point =
-            List.fold_left
-              (fun acc (c : _ cell) ->
-                let m = (c.weight +. 1e-9) *. c.area /. total_mass in
-                Geo.Point.add acc (Geo.Point.scale m (B.centroid c.region)))
-              Geo.Point.zero top_tier
-          in
-          {
-            region;
-            weight = first.weight;
-            point;
-            area_km2 = Geo.Region.area region;
-            cells_used = used;
-          })
+  | Packed { backend = (module B); config; cells; prune_bound } ->
+      let first, selected, trimmed =
+        select (module B) config ~area_threshold_km2 ~weight_band cells
+      in
+      (match prune_bound with
+      | Some bound when not (certified ~area_threshold_km2 ~weight_band ~bound first selected) ->
+          invalid_arg "Solver.solve: these settings break the pruned arrangement's certificate"
+      | _ -> ());
+      let used = List.length selected in
+      Obs.Telemetry.Counter.add c_cells_trimmed trimmed;
+      Obs.Telemetry.Counter.incr c_solves;
+      Obs.Telemetry.Counter.add c_cells_selected used;
+      (* Exact cells are disjoint by construction, so their union is
+         concatenation.  Approximate cells (cap-fusion rectangles and their
+         fragments) may overlap the exact ones, so each is clipped against
+         the other selected cells before it joins the region — otherwise
+         [area_km2] and the reported region would double-count the
+         overlap.  Only selected cells pay this; a bbox test skips the
+         pairs that cannot meet. *)
+      let exact_sel, approx_sel = List.partition (fun c -> not c.approx) selected in
+      let boxes_meet (alo, ahi) (blo, bhi) =
+        alo.Geo.Point.x < bhi.Geo.Point.x
+        && ahi.Geo.Point.x > blo.Geo.Point.x
+        && alo.Geo.Point.y < bhi.Geo.Point.y
+        && ahi.Geo.Point.y > blo.Geo.Point.y
+      in
+      let approx_regions =
+        List.fold_left
+          (fun clipped a ->
+            let r =
+              List.fold_left
+                (fun acc e ->
+                  if B.is_empty acc || not (boxes_meet a.bbox e.bbox) then acc
+                  else B.diff acc e.region)
+                a.region exact_sel
+            in
+            (* Earlier approximate cells were already clipped; subtract
+               them too so approx/approx overlap is not counted twice. *)
+            let r =
+              List.fold_left
+                (fun acc prev -> if B.is_empty acc then acc else B.diff acc prev)
+                r clipped
+            in
+            r :: clipped)
+          [] approx_sel
+      in
+      let region =
+        Geo.Region.of_polygons
+          (List.concat_map (fun (c : _ cell) -> B.pieces c.region) exact_sel
+          @ List.concat_map B.pieces approx_regions)
+      in
+      (* The point estimate comes from the top-weight tier only: averaging
+         over the whole reported region would let large low-confidence
+         cells drag the point away from where the evidence concentrates. *)
+      let top_tier =
+        List.filter (fun (c : _ cell) -> c.weight >= (0.995 *. first.weight) -. 1e-9) selected
+      in
+      let top_tier = if top_tier = [] then [ first ] else top_tier in
+      let total_mass =
+        List.fold_left (fun acc (c : _ cell) -> acc +. ((c.weight +. 1e-9) *. c.area)) 0.0 top_tier
+      in
+      let point =
+        List.fold_left
+          (fun acc (c : _ cell) ->
+            let m = (c.weight +. 1e-9) *. c.area /. total_mass in
+            Geo.Point.add acc (Geo.Point.scale m (B.centroid c.region)))
+          Geo.Point.zero top_tier
+      in
+      {
+        region;
+        weight = first.weight;
+        point;
+        area_km2 = Geo.Region.area region;
+        cells_used = used;
+      }
 
 (* ---- Persistent per-target sessions (streaming re-localization) ---- *)
 

@@ -68,18 +68,73 @@ val add : ?max_cells:int -> ?tessellate:(Constr.t -> Geo.Region.t) -> t -> Const
     used for clipping; it defaults to {!Constr.region_of_shape} and
     exists so callers can plug in a memoized discretization (see
     {!Geom_cache.region_for}).  The result is imported into the
-    arrangement's backend once per constraint. *)
+    arrangement's backend once per constraint.
+    @raise Invalid_argument on an arrangement {!add_all_pruned} pruned. *)
 
 val add_all : ?max_cells:int -> ?tessellate:(Constr.t -> Geo.Region.t) -> t -> Constr.t list -> t
 
+val add_all_pruned :
+  ?max_cells:int ->
+  ?tessellate:(Constr.t -> Geo.Region.t) ->
+  area_threshold_km2:float ->
+  weight_band:float ->
+  t ->
+  Constr.t list ->
+  t
+(** Fold a {e complete} constraint list for one known {!solve}, dropping
+    the cells that solve can never select (branch and bound).
+
+    {b Bound.}  After constraint [k], let [R] be the summed weight of
+    constraints [k+1..n]; weights are non-negative, so no point gains more
+    than [R] from there on.  With the cells sorted as {!solve} sorts them,
+    let [L] be the weight at which the heaviest exact (non-fused) cells
+    first cover [area_threshold_km2] (or [-infinity]), and let
+    [cut = min L (weight_band *. top)].  Every cell with
+    [weight +. R +. 1e-9 < cut] is dropped; [B] is the largest
+    [weight +. R +. 1e-9] over all dropped cells.  The [1e-9] is
+    {!solve}'s own band slack; it absorbs the rounding gap between [R] and
+    a descendant's own sum.
+
+    {b Certificate.}  On the final cells, {!solve}'s selection rule must
+    show [B < weight_band *. top -. 1e-9], and the selected cells heavier
+    than [B] must cover [area_threshold_km2].  Then the result is exact:
+    a descendant of a dropped cell weighs at most [B]; without cap fusion
+    the pruned cells are the uncapped fold's cells minus those
+    descendants, in the same order; so every missing cell sorts after
+    every kept cell heavier than [B], none is a band cell, and {!solve}'s
+    fill stops before it reaches one.  The check runs after every
+    simplification, so simplification drift cannot make it lie.  When it
+    fails, the constraints are folded again with {!add_all} from the same
+    base ([solver.prune_fallbacks]), and only that pass reaches the audit
+    log.
+
+    {b Contract.}  If the pruned fold fuses no cells, its estimate is
+    bit-identical to [add_all ~max_cells:max_int]'s.  If [add_all]'s
+    capped fold fuses no cells, the estimate is bit-identical to
+    [add_all]'s: the pruned fold holds a subset of its cells at every step,
+    so it never fuses either.
+
+    {b Guards.}  An arrangement that dropped cells is final: {!add} on it
+    raises [Invalid_argument], and {!solve} re-checks the certificate with
+    the settings it is given and raises [Invalid_argument] if they break
+    it.  {!cells}, {!cell_count} and {!max_weight} see only the kept
+    cells.  An arrangement from which nothing was dropped is exactly
+    {!add_all}'s.  Streaming callers, whose later constraints are unknown,
+    use {!add_all}. *)
+
 val cell_count : t -> int
+(** Cells in the arrangement; after {!add_all_pruned}, the kept cells
+    only. *)
+
 val max_weight : t -> float
 
 val backend_name : t -> string
 (** Name of the region backend this arrangement dispatches through. *)
 
 val cells : t -> (Geo.Region.t * float) list
-(** All cells with their weights, heaviest first. *)
+(** All cells with their weights, heaviest first.  After
+    {!add_all_pruned} these are the kept cells only, which no longer
+    partition the world. *)
 
 type estimate = {
   region : Geo.Region.t;      (** Union of the selected top-weight cells. *)
@@ -96,7 +151,9 @@ val solve : ?area_threshold_km2:float -> ?weight_band:float -> t -> estimate
     constraints the true cell typically sits just below the top — then
     cells are taken in decreasing weight until the union reaches the area
     threshold.  At least one cell is always taken, so the estimate is
-    never empty. *)
+    never empty.
+    @raise Invalid_argument on an arrangement {!add_all_pruned} pruned when
+    these settings break its certificate. *)
 
 (** Persistent per-target solver state for streaming re-localization.
 

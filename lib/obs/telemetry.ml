@@ -34,7 +34,12 @@ let locked f =
   Mutex.lock registry_lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock registry_lock) f
 
-let now_ns () = int_of_float (Unix.gettimeofday () *. 1e9)
+(* The one clock every timing here reads: CLOCK_MONOTONIC through
+   bechamel.  [gettimeofday] steps when the system clock is set, and
+   [Sys.time] is process CPU time, which over-reports while other domains
+   run. *)
+let now_ns () = Int64.to_int (Monotonic_clock.now ())
+let now_s () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
 
 let domain_slot mask = (Domain.self () :> int) land mask
 

@@ -32,6 +32,12 @@ val enable : unit -> unit
 val disable : unit -> unit
 val is_enabled : unit -> bool
 
+val now_s : unit -> float
+(** Seconds on the monotonic wall clock that spans are timed with; only
+    differences are meaningful.  Unlike [Sys.time] (process CPU time) it
+    does not over-report while other domains run, and unlike
+    [Unix.gettimeofday] it never steps.  Reading it records nothing. *)
+
 val reset : unit -> unit
 (** Zero every counter, histogram, and span aggregate.  Not safe to call
     concurrently with recording. *)

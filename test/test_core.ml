@@ -593,6 +593,136 @@ let prop_solver_pointwise_weight =
       done;
       !ok)
 
+(* ---- Pruned fold ([Solver.add_all_pruned]) ---- *)
+
+(* Bit for bit: marshalled without sharing, equal estimates give equal
+   bytes whatever their physical layout, and floats compare by bits. *)
+let bit_identical (a : Solver.estimate) (b : Solver.estimate) =
+  Marshal.to_string a [ Marshal.No_sharing ] = Marshal.to_string b [ Marshal.No_sharing ]
+
+let counter_value (snap : Telemetry.snapshot) domain name =
+  List.fold_left
+    (fun acc (c : Telemetry.counter_view) ->
+      if c.Telemetry.c_domain = domain && c.Telemetry.c_name = name then c.Telemetry.c_value
+      else acc)
+    0 snap.Telemetry.counters
+
+(* Run [f] with telemetry on, from zero; returns its result and the
+   counter snapshot it left. *)
+let with_counters f =
+  Telemetry.reset ();
+  Telemetry.enable ();
+  let r = Fun.protect ~finally:Telemetry.disable f in
+  let snap = Telemetry.snapshot () in
+  Telemetry.reset ();
+  (r, snap)
+
+(* The contract: whenever the pruned fold fuses no cells it equals the
+   uncapped fold, and whenever the capped [add_all] fuses no cells it
+   equals that fold.  Random disks, rings and negative disks in random
+   order, with random solve settings, cap and hardening. *)
+let prop_solver_pruned_contract =
+  QCheck.Test.make ~name:"solver: pruned fold = unpruned fold without cap fusion" ~count:100
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Stats.Rng.create seed in
+      let u = Stats.Rng.uniform rng in
+      let constraints =
+        List.init (Stats.Rng.int rng 26) (fun i ->
+            let center = pt (u (-900.0) 900.0) (u (-900.0) 900.0) in
+            let weight = u 0.0 1.0 and source = Printf.sprintf "c%d" i in
+            match Stats.Rng.int rng 3 with
+            | 0 -> Constr.positive_disk ~center ~radius_km:(u 50.0 700.0) ~weight ~source
+            | 1 ->
+                let r_inner_km = u 20.0 400.0 in
+                Constr.ring ~center ~r_inner_km ~r_outer_km:(r_inner_km +. u 50.0 400.0) ~weight
+                  ~source
+            | _ -> Constr.negative_disk ~center ~radius_km:(u 50.0 700.0) ~weight ~source)
+      in
+      let area_threshold_km2 = 10.0 ** u 2.0 (Float.log10 3e6) in
+      let weight_band = u 0.5 1.0 in
+      let max_cells = 24 + Stats.Rng.int rng 233 in
+      let harden =
+        if Stats.Rng.bool rng then Some { Harden.default with Harden.trim_band_km = u 150.0 900.0 }
+        else None
+      in
+      let base = Solver.create ~config:{ Solver.default_config with Solver.harden } ~world:world100 () in
+      let tessellate (c : Constr.t) = Constr.region_of_shape ~segments:24 c.Constr.shape in
+      let solve s = Solver.solve ~area_threshold_km2 ~weight_band s in
+      let fusions f =
+        let est, snap = with_counters (fun () -> solve (f ())) in
+        (est, counter_value snap "solver" "cap_fusions")
+      in
+      let pruned, pruned_fused =
+        fusions (fun () ->
+            Solver.add_all_pruned ~max_cells ~tessellate ~area_threshold_km2 ~weight_band base
+              constraints)
+      in
+      let capped, capped_fused = fusions (fun () -> Solver.add_all ~max_cells ~tessellate base constraints) in
+      let uncapped = solve (Solver.add_all ~max_cells:max_int ~tessellate base constraints) in
+      (pruned_fused > 0 || bit_identical pruned uncapped)
+      && (capped_fused > 0 || bit_identical pruned capped))
+
+(* Two heavy band disks far apart under hardening: the trim drops the
+   second at solve time, yet the prune step counted its area, so the top
+   cell alone misses the threshold and the certificate must fail. *)
+let test_solver_prune_fallback () =
+  let harden = Some { Harden.default with Harden.trim_band_km = 500.0 } in
+  let base = Solver.create ~config:{ Solver.default_config with Solver.harden } ~world:world100 () in
+  let disk x y r w s = Constr.positive_disk ~center:(pt x y) ~radius_km:r ~weight:w ~source:s in
+  let constraints =
+    [
+      disk (-600.0) 0.0 100.0 1.0 "top";
+      disk 600.0 0.0 100.0 0.98 "far band";
+      disk 0.0 600.0 150.0 0.05 "light a";
+      disk 0.0 (-600.0) 150.0 0.05 "light b";
+      Constr.negative_disk ~center:(pt 300.0 300.0) ~radius_km:120.0 ~weight:0.04 ~source:"light c";
+      disk (-200.0) 500.0 200.0 0.03 "light d";
+    ]
+  in
+  let area_threshold_km2 = 60_000.0 and weight_band = 0.93 in
+  let (pruned, audit), snap =
+    with_counters (fun () ->
+        Telemetry.Audit.collect (fun () ->
+            Solver.add_all_pruned ~area_threshold_km2 ~weight_band base constraints))
+  in
+  Alcotest.(check int) "one fallback" 1 (counter_value snap "solver" "prune_fallbacks");
+  if counter_value snap "solver" "cells_pruned" = 0 then Alcotest.fail "the pass pruned nothing";
+  let plain, plain_audit = Telemetry.Audit.collect (fun () -> Solver.add_all base constraints) in
+  let solve s = Solver.solve ~area_threshold_km2 ~weight_band s in
+  if not (bit_identical (solve pruned) (solve plain)) then
+    Alcotest.fail "fallback estimate differs from add_all";
+  Alcotest.(check int) "one audit entry per constraint" (List.length constraints) (List.length audit);
+  if audit <> plain_audit then Alcotest.fail "audit differs from add_all's"
+
+(* A pruned arrangement is final, and [solve] re-checks the certificate
+   with the settings it is given. *)
+let test_solver_pruned_is_final () =
+  let disk x r w s = Constr.positive_disk ~center:(pt x 0.0) ~radius_km:r ~weight:w ~source:s in
+  let constraints = [ disk 0.0 150.0 1.0 "a"; disk 100.0 150.0 1.0 "b"; disk 700.0 100.0 0.1 "c" ] in
+  let area_threshold_km2 = 10_000.0 and weight_band = 0.9 in
+  let (pruned, plain), snap =
+    with_counters (fun () ->
+        let base = Solver.create ~world:world100 () in
+        ( Solver.add_all_pruned ~area_threshold_km2 ~weight_band base constraints,
+          Solver.add_all base constraints ))
+  in
+  if counter_value snap "solver" "cells_pruned" = 0 then Alcotest.fail "nothing was pruned";
+  if Solver.cell_count pruned >= Solver.cell_count plain then
+    Alcotest.fail "cell_count must see only the kept cells";
+  if
+    not
+      (bit_identical
+         (Solver.solve ~area_threshold_km2 ~weight_band pruned)
+         (Solver.solve ~area_threshold_km2 ~weight_band plain))
+  then Alcotest.fail "pruned estimate differs";
+  (match Solver.add pruned (disk 0.0 50.0 1.0 "late") with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "add on a pruned arrangement must raise");
+  match Solver.solve ~area_threshold_km2:1e9 ~weight_band pruned with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "solve must refuse settings that break the certificate"
+
 (* ------------------------------------------------------------------ *)
 (* Parallel *)
 (* ------------------------------------------------------------------ *)
@@ -976,6 +1106,43 @@ let test_estimate_bezier_output () =
   assert (List.length paths >= 1);
   List.iter (fun p -> assert (Geo.Bezier.is_closed p)) paths
 
+(* [solve_time_s] is wall time: with a second domain spinning, process
+   CPU time would run ahead of the wall clock around the call.  The spin
+   loop is a bare atomic load: a [Domain.cpu_relax] loop did not keep a
+   second core busy. *)
+let test_pipeline_solve_time_is_wall () =
+  let landmarks, inter, rtt_between = clean_pipeline_fixture () in
+  let ctx = Pipeline.prepare ~landmarks ~inter_landmark_rtt_ms:inter () in
+  let truth = Geo.Geodesy.coord ~lat:38.63 ~lon:(-90.2) in
+  let obs =
+    Pipeline.observations_of_rtts
+      (Array.map (fun l -> rtt_between l.Pipeline.lm_position truth) landmarks)
+  in
+  let started = Atomic.make false and stop = Atomic.make false in
+  let spinner =
+    Domain.spawn (fun () ->
+        Atomic.set started true;
+        while not (Atomic.get stop) do
+          ()
+        done)
+  in
+  let est, wall =
+    Fun.protect
+      ~finally:(fun () ->
+        Atomic.set stop true;
+        Domain.join spinner)
+      (fun () ->
+        while not (Atomic.get started) do
+          ()
+        done;
+        let t0 = Telemetry.now_s () in
+        let est = Pipeline.localize ctx obs in
+        (est, Telemetry.now_s () -. t0))
+  in
+  if est.Estimate.solve_time_s > wall then
+    Alcotest.failf "solve_time_s %.4f s exceeds the wall time around localize, %.4f s"
+      est.Estimate.solve_time_s wall
+
 let test_batch_chunk_invariance () =
   (* localize_batch results must not depend on the work-queue granularity:
      the default (adaptive) chunk, chunk=1, and an uneven chunk must yield
@@ -1078,8 +1245,14 @@ let suite =
         tc "point from top tier" test_solver_point_from_top_tier;
         tc "area conservation" test_solver_area_conservation;
         tc "estimate area threshold" test_solver_estimate_area_threshold;
+        tc "prune certificate fallback" test_solver_prune_fallback;
+        tc "pruned arrangement is final" test_solver_pruned_is_final;
       ] );
-    ("solver-properties", [ QCheck_alcotest.to_alcotest prop_solver_pointwise_weight ]);
+    ( "solver-properties",
+      [
+        QCheck_alcotest.to_alcotest prop_solver_pointwise_weight;
+        QCheck_alcotest.to_alcotest prop_solver_pruned_contract;
+      ] );
     ( "parallel",
       [
         tc "matches Array.init" test_parallel_matches_array_init;
@@ -1115,5 +1288,6 @@ let suite =
         tc "input validation" test_pipeline_input_validation;
         tc "bezier output" test_estimate_bezier_output;
         tc "batch chunk invariance" test_batch_chunk_invariance;
+        tc "solve_time_s is wall time" test_pipeline_solve_time_is_wall;
       ] );
   ]
