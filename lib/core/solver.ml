@@ -60,9 +60,11 @@ let c_fused_area_after =
 
 let mk_cell (type r) ((module B) : r Geo.Region_intf.backend) cfg ?(approx = false)
     (region : r) weight =
-  (* Clipping cost is quadratic in boundary complexity; cells that have
-     accumulated many arc vertices get gently simplified (the default 2 km
-     boundary shift is far below geolocalization scales). *)
+  (* Clipping cost grows with boundary complexity: every traversal scans
+     both boundaries and tests each edge pair near the other boundary.
+     Cells that have accumulated many arc vertices get gently simplified
+     (the default 2 km boundary shift is far below geolocalization
+     scales). *)
   let region =
     if B.vertex_count region > cfg.simplify_vertex_threshold then
       B.simplify ~tolerance:cfg.simplify_tolerance_km region

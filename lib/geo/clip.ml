@@ -13,6 +13,13 @@ let c_convex_fast_path = Obs.Telemetry.Counter.make ~domain:"clip" "convex_fast_
 let c_retries = Obs.Telemetry.Counter.make ~domain:"clip" "degenerate_retries"
 let c_fallbacks = Obs.Telemetry.Counter.make ~domain:"clip" "degenerate_fallbacks"
 
+(* Edge pairs handed to [seg_isect], added once per traversal: the work the
+   box tests below leave to the exact segment test. *)
+let c_segment_tests = Obs.Telemetry.Counter.make ~domain:"clip" "segment_tests"
+
+(* [inter]/[diff] calls answered by [apart] without a traversal. *)
+let c_pairs_skipped = Obs.Telemetry.Counter.make ~domain:"clip" "pairs_skipped"
+
 let area_floor = 1e-9
 let alpha_eps = 1e-9
 
@@ -109,6 +116,13 @@ type gh_scratch = {
   mutable snode : int array;
   mutable cnode : int array;
   mutable order : int array; (* per-edge sort scratch *)
+  (* clip edges whose widened box meets the subject's widened box, in
+     ascending edge order, with those widened boxes *)
+  mutable cand : int array;
+  mutable cx0 : float array;
+  mutable cy0 : float array;
+  mutable cx1 : float array;
+  mutable cy1 : float array;
   mutable in_use : bool;
 }
 
@@ -131,16 +145,32 @@ let gh_make nodes isects =
     snode = Array.make isects 0;
     cnode = Array.make isects 0;
     order = Array.make isects 0;
+    cand = Array.make nodes 0;
+    cx0 = Array.make nodes 0.0;
+    cy0 = Array.make nodes 0.0;
+    cx1 = Array.make nodes 0.0;
+    cy1 = Array.make nodes 0.0;
     in_use = false;
   }
 
 let gh_key = Domain.DLS.new_key (fun () -> gh_make 256 64)
 
-let grow_int a cap = if Array.length a < cap then Array.make (Stdlib.max cap (2 * Array.length a)) 0 else a
-let grow_float a cap = if Array.length a < cap then Array.make (Stdlib.max cap (2 * Array.length a)) 0.0 else a
-let grow_bool a cap = if Array.length a < cap then Array.make (Stdlib.max cap (2 * Array.length a)) false else a
+(* Growth keeps the live prefix: the crossing arrays grow in the middle of
+   the sweep, while they hold every crossing recorded so far.  Scratch is
+   never shrunk, so a domain reaches its working size once. *)
+let grow a cap zero =
+  let n = Array.length a in
+  if n >= cap then a
+  else begin
+    let b = Array.make (Stdlib.max cap (2 * n)) zero in
+    Array.blit a 0 b 0 n;
+    b
+  end
 
-(* Scratch contents never survive a call, so growth just reallocates. *)
+let grow_int a cap = grow a cap 0
+let grow_float a cap = grow a cap 0.0
+let grow_bool a cap = grow a cap false
+
 let gh_ensure_nodes g cap =
   if Array.length g.px < cap then begin
     g.px <- grow_float g.px cap;
@@ -166,13 +196,23 @@ let gh_ensure_isects g cap =
     g.order <- grow_int g.order cap
   end
 
+let gh_ensure_cands g cap =
+  if Array.length g.cand < cap then begin
+    g.cand <- grow_int g.cand cap;
+    g.cx0 <- grow_float g.cx0 cap;
+    g.cy0 <- grow_float g.cy0 cap;
+    g.cx1 <- grow_float g.cx1 cap;
+    g.cy1 <- grow_float g.cy1 cap
+  end
+
 (* Segment intersection with degeneracy detection.  Returns the parameters
    on both segments when they cross strictly in their interiors; raises
    [Degenerate] on touching/collinear configurations so the caller can
    perturb and retry.
 
-   Runs O(ns*nc) times per boolean operation, so it works on raw floats:
-   the only allocation is the [Some] result on an actual crossing. *)
+   Runs once per edge pair that survives [gh_traverse]'s box tests, so it
+   works on raw floats: the only allocation is the [Some] result on an
+   actual crossing. *)
 let seg_isect p1 p2 q1 q2 =
   let p1x = p1.Point.x and p1y = p1.Point.y in
   let p2x = p2.Point.x and p2y = p2.Point.y in
@@ -213,6 +253,183 @@ let seg_isect p1 p2 q1 q2 =
     else None
   end
 
+(* ------------------------------------------------------------------ *)
+(* Box tests: which edge pairs can [seg_isect] answer?                 *)
+(* ------------------------------------------------------------------ *)
+
+(* [seg_isect p1 p2 q1 q2] returns [None] whenever the two segments' boxes
+   are apart, in x or in y, by more than
+
+     margin_base + margin_rate * (s1 + s2),  s = |dx| + |dy| >= edge length,
+
+   provided the subject edge p1->p2 is at least 1e-3 km long.  Skipping
+   such pairs therefore changes no crossing, no [Degenerate] raise and no
+   output bit.  Write d1 = p2 - p1, d2 = q2 - q1, e = q1 - p1, and
+   u = 2^-53 for the unit roundoff.
+
+   - Parallel branch, |d1 x d2| <= 1e-12 (1 + |d1||d2|).  It answers only
+     when q1 lies within 1e-9 (1 + |d1|) / |d1| of the subject's line and
+     the projection of q meets the subject extended by alpha_eps |d1| at
+     both ends.  q2 then lies within a further 1e-12 / |d1| + 1e-12 |d2| of
+     that line, so the segments come within 1e-9 (1 + |d1|) / |d1|
+     + 1e-12 / |d1| + 1e-12 |d2| + 1e-9 |d1| + O(u) of each other: below
+     1.1e-6 km + 1.1e-9 (|d1| + |d2|) once |d1| >= 1e-3 km.  Below that
+     length the band grows like 1e-9 / |d1| without bound, so shorter
+     subject edges are tested against every clip edge.
+   - Crossing branch.  It answers only when the computed t and u both lie
+     in [-alpha_eps, 1 + alpha_eps].  Exactly, p1 + t d1 = q1 + u d2 is
+     the lines' meeting point, within alpha_eps |d| of each segment.  In
+     floating point Cramer's rule leaves a residual r = p1 + t d1 - q1
+     - u d2 whose components across d1 and across d2 are at most
+     u (4 |e| + |d2|) and u (4 |e| + |d1|), while the branch guarantees
+     sin (d1, d2) > 0.9998e-12.  So |r| <= 1.11e-4 (8 |e| + |d1| + |d2|),
+     and with |e| <= |d1| + |d2| + |r| the segments come within
+     1.002e-3 (|d1| + |d2|).  This term is real: nearly collinear edges
+     at 1e-12 rad whose ends are 1.2e-4 (|d1| + |d2|) apart are reported
+     as crossing, so a margin that covered only the tolerance zones (the
+     alpha_eps ends and the parallel band) would drop crossings.
+
+   The margin is at least twice each bound.  Box corners are vertex
+   coordinates, and widening them rounds by u |x| ~ 1e-12 km. *)
+let margin_base = 1e-5
+let margin_rate = 2e-3
+
+(* Squared length below which a subject edge is never culled. *)
+let short_edge2 = 1e-6
+
+let edge_size (a : Point.t) (b : Point.t) =
+  Float.abs (b.Point.x -. a.Point.x) +. Float.abs (b.Point.y -. a.Point.y)
+
+(* A polygon's box with its largest edge size and its shortest squared edge
+   length: what [apart] needs to bound every edge pair at once. *)
+type extent = { x0 : float; y0 : float; x1 : float; y1 : float; size : float; shortest2 : float }
+
+let extent poly =
+  let v = Polygon.vertices poly in
+  let n = Array.length v in
+  let x0 = ref infinity and y0 = ref infinity in
+  let x1 = ref neg_infinity and y1 = ref neg_infinity in
+  let size = ref 0.0 and shortest2 = ref infinity in
+  for i = 0 to n - 1 do
+    let a = v.(i) and b = v.(if i + 1 = n then 0 else i + 1) in
+    let x = a.Point.x and y = a.Point.y in
+    if x < !x0 then x0 := x;
+    if x > !x1 then x1 := x;
+    if y < !y0 then y0 := y;
+    if y > !y1 then y1 := y;
+    let dx = b.Point.x -. x and dy = b.Point.y -. y in
+    let s = Float.abs dx +. Float.abs dy in
+    if s > !size then size := s;
+    let l2 = (dx *. dx) +. (dy *. dy) in
+    if l2 < !shortest2 then shortest2 := l2
+  done;
+  { x0 = !x0; y0 = !y0; x1 = !x1; y1 = !y1; size = !size; shortest2 = !shortest2 }
+
+(* True when every edge pair of [subject] x [clip] is apart by more than
+   its margin (no subject edge is short, and edge boxes lie inside polygon
+   boxes), so the sweep finds nothing; and each polygon's vertices lie over
+   1e-5 km outside the other's box, so the containment tests answer false
+   without raising.  [gh_traverse subject clip] would return [None], [diff_once]
+   [[subject]] and [inter_once] [[]], so [inter] and [diff] answer that
+   from the boxes alone. *)
+let apart subject clip =
+  let subject = extent subject and clip = extent clip in
+  subject.shortest2 >= short_edge2
+  &&
+  let m = margin_base +. (margin_rate *. (subject.size +. clip.size)) in
+  clip.x0 > subject.x1 +. m
+  || subject.x0 > clip.x1 +. m
+  || clip.y0 > subject.y1 +. m
+  || subject.y0 > clip.y1 +. m
+
+(* Test one edge pair and record its crossing; returns the new count. *)
+let test_pair g count i p1 p2 j q1 q2 =
+  match seg_isect p1 p2 q1 q2 with
+  | None -> count
+  | Some (t, u, pt) ->
+      gh_ensure_isects g (count + 1);
+      g.is_i.(count) <- i;
+      g.is_j.(count) <- j;
+      g.is_t.(count) <- t;
+      g.is_u.(count) <- u;
+      g.is_x.(count) <- pt.Point.x;
+      g.is_y.(count) <- pt.Point.y;
+      count + 1
+
+(* All crossings of [sv] against [cv], recorded in the scratch in the order
+   of the full ns x nc sweep (i ascending, then j ascending), which only
+   ever skips pairs [seg_isect] answers [None] for.  The clip edges whose
+   widened box meets the subject's widened box become candidates; each
+   long subject edge then tests the candidates whose box meets its own,
+   and each short one tests every clip edge.  Returns the crossing count. *)
+let sweep g (sv : Point.t array) (cv : Point.t array) =
+  let ns = Array.length sv and nc = Array.length cv in
+  let sx0 = ref infinity and sy0 = ref infinity in
+  let sx1 = ref neg_infinity and sy1 = ref neg_infinity in
+  let largest = ref 0.0 in
+  for i = 0 to ns - 1 do
+    let p = sv.(i) in
+    let x = p.Point.x and y = p.Point.y in
+    if x < !sx0 then sx0 := x;
+    if x > !sx1 then sx1 := x;
+    if y < !sy0 then sy0 := y;
+    if y > !sy1 then sy1 := y;
+    let s = edge_size p sv.(if i + 1 = ns then 0 else i + 1) in
+    if s > !largest then largest := s
+  done;
+  let w = margin_base +. (margin_rate *. !largest) in
+  let sx0 = !sx0 -. w and sy0 = !sy0 -. w and sx1 = !sx1 +. w and sy1 = !sy1 +. w in
+  gh_ensure_cands g nc;
+  let ncand = ref 0 in
+  for j = 0 to nc - 1 do
+    let a = cv.(j) and b = cv.(if j + 1 = nc then 0 else j + 1) in
+    let m = margin_rate *. edge_size a b in
+    let ax = a.Point.x and ay = a.Point.y and bx = b.Point.x and by = b.Point.y in
+    let x0 = (if ax < bx then ax else bx) -. m and x1 = (if ax < bx then bx else ax) +. m in
+    let y0 = (if ay < by then ay else by) -. m and y1 = (if ay < by then by else ay) +. m in
+    if x0 <= sx1 && sx0 <= x1 && y0 <= sy1 && sy0 <= y1 then begin
+      let k = !ncand in
+      g.cand.(k) <- j;
+      g.cx0.(k) <- x0;
+      g.cy0.(k) <- y0;
+      g.cx1.(k) <- x1;
+      g.cy1.(k) <- y1;
+      ncand := k + 1
+    end
+  done;
+  let ncand = !ncand in
+  let count = ref 0 and tests = ref 0 in
+  match
+    for i = 0 to ns - 1 do
+      let p1 = sv.(i) and p2 = sv.(if i + 1 = ns then 0 else i + 1) in
+      let p1x = p1.Point.x and p1y = p1.Point.y and p2x = p2.Point.x and p2y = p2.Point.y in
+      let dx = p2x -. p1x and dy = p2y -. p1y in
+      if (dx *. dx) +. (dy *. dy) < short_edge2 then
+        for j = 0 to nc - 1 do
+          incr tests;
+          count := test_pair g !count i p1 p2 j cv.(j) cv.(if j + 1 = nc then 0 else j + 1)
+        done
+      else begin
+        let m = margin_base +. (margin_rate *. (Float.abs dx +. Float.abs dy)) in
+        let x0 = (if p1x < p2x then p1x else p2x) -. m and x1 = (if p1x < p2x then p2x else p1x) +. m in
+        let y0 = (if p1y < p2y then p1y else p2y) -. m and y1 = (if p1y < p2y then p2y else p1y) +. m in
+        for k = 0 to ncand - 1 do
+          if g.cx0.(k) <= x1 && x0 <= g.cx1.(k) && g.cy0.(k) <= y1 && y0 <= g.cy1.(k) then begin
+            let j = g.cand.(k) in
+            incr tests;
+            count := test_pair g !count i p1 p2 j cv.(j) cv.(if j + 1 = nc then 0 else j + 1)
+          end
+        done
+      end
+    done
+  with
+  | () ->
+      Obs.Telemetry.Counter.add c_segment_tests !tests;
+      !count
+  | exception Degenerate ->
+      Obs.Telemetry.Counter.add c_segment_tests !tests;
+      raise Degenerate
+
 let strict_inside poly p =
   if Polygon.on_boundary ~eps:1e-9 poly p then raise Degenerate;
   Polygon.contains poly p
@@ -252,23 +469,7 @@ let gh_traverse ~invert_subject ~invert_clip subject clip =
   let g = if g.in_use then gh_make (ns + nc + 32) 64 else g in
   g.in_use <- true;
   Fun.protect ~finally:(fun () -> g.in_use <- false) @@ fun () ->
-  let count = ref 0 in
-  for i = 0 to ns - 1 do
-    for j = 0 to nc - 1 do
-      match seg_isect sv.(i) sv.((i + 1) mod ns) cv.(j) cv.((j + 1) mod nc) with
-      | None -> ()
-      | Some (t, u, pt) ->
-          gh_ensure_isects g (!count + 1);
-          g.is_i.(!count) <- i;
-          g.is_j.(!count) <- j;
-          g.is_t.(!count) <- t;
-          g.is_u.(!count) <- u;
-          g.is_x.(!count) <- pt.Point.x;
-          g.is_y.(!count) <- pt.Point.y;
-          incr count
-    done
-  done;
-  let count = !count in
+  let count = sweep g sv cv in
   if count = 0 then None
   else begin
     if count mod 2 = 1 then raise Degenerate;
@@ -477,11 +678,17 @@ let inter_once a b =
       else if strict_inside a (Polygon.vertices b).(0) then [ b ]
       else []
 
+(* Sutherland–Hodgman is not covered by [apart], so the convex fast path
+   comes first. *)
 let inter a b =
   Obs.Telemetry.Counter.incr c_inter;
   if Polygon.is_convex a && Polygon.is_convex b then begin
     Obs.Telemetry.Counter.incr c_convex_fast_path;
     match convex_inter a b with Some p -> [ p ] | None -> []
+  end
+  else if apart a b then begin
+    Obs.Telemetry.Counter.incr c_pairs_skipped;
+    []
   end
   else with_retry ~fallback:(inter_fallback a b) inter_once a b
 
@@ -519,7 +726,11 @@ and split_diff a b =
 
 let diff a b =
   Obs.Telemetry.Counter.incr c_diff;
-  with_retry ~fallback:(fun () -> [ a ]) diff_once a b
+  if apart a b then begin
+    Obs.Telemetry.Counter.incr c_pairs_skipped;
+    [ a ]
+  end
+  else with_retry ~fallback:(fun () -> [ a ]) diff_once a b
 
 (* Union as [a + (b \ a)]: keeps every output polygon simple and hole-free
    (a union of two crossing simple polygons can enclose a hole, which a

@@ -4,7 +4,12 @@
     intersections, differences and unions while building its weighted
     constraint arrangement (paper §2, §2.4).
 
-    The implementation is Greiner–Hormann clipping with three safeguards:
+    The implementation is Greiner–Hormann clipping whose crossing sweep
+    is output-sensitive: box tests skip every edge pair too far apart for
+    the segment test to answer, so a traversal costs about its boundary
+    sizes plus the pairs near the other boundary, not their product.  When
+    the operands' boxes are that far apart as a whole, {!inter} and {!diff}
+    answer from the boxes without a traversal.  It has three safeguards:
 
     - a Sutherland–Hodgman fast path when both operands are convex;
     - containment special-casing when the boundaries do not intersect,

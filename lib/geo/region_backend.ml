@@ -36,15 +36,20 @@ let exact : Region_intf.packed = (module Exact)
 (* ---- hybrid: exact polygons behind a bbox + occupancy prefilter ----
 
    [Region.inter]/[diff] clip every piece of one operand against every
-   piece of the other, including pairs that are nowhere near each other —
-   the dominant waste in annulus-heavy arrangements, where each region is
-   many scattered fragments.  The hybrid representation keeps the exact
+   piece of the other, including pairs that are nowhere near each other,
+   in annulus-heavy arrangements where each region is many scattered
+   fragments.  [Clip] answers pairs whose boxes are far apart from the
+   boxes alone, so this prefilter no longer measures faster than exact
+   (DESIGN §6c).  The hybrid representation keeps the exact
    polygons but tags each piece with its bounding box and a lazy coarse
    occupancy bitmask on a world-aligned lattice:
 
-   - disjoint bboxes        -> skip the clip (exact-equivalent: the clip
-                               could only return slivers that [mk_cell]
-                               drops anyway);
+   - disjoint bboxes        -> skip the clip (near-exact: the boxes are
+                               tested with no margin, so a pair within
+                               the segment test's tolerance of touching
+                               skips the degeneracy retries the exact
+                               kernel runs, and its result can differ
+                               from the exact one);
    - no shared occupied cell-> skip the clip (approximate: center-sampled
                                occupancy can miss sub-cell overlap; the
                                error budget is measured by `bench region`

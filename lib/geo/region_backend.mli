@@ -5,7 +5,7 @@
     - {b exact}: {!Region.t} verbatim — Bezier/polygon clipping, the
       default, bit-identical to the historical solver.
     - {b hybrid}: exact polygons whose piece-pair clips are prefiltered
-      by a bounding-box test (exact-equivalent skip) and a coarse
+      by a zero-margin bounding-box test (near-exact skip) and a coarse
       occupancy bitmask on a world-aligned lattice (approximate skip) —
       generalizing the solver's historical ad-hoc [boxes_meet] check.
 

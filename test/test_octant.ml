@@ -103,7 +103,8 @@ let () =
    @ Test_linalg.suite
    @ Test_netsim.suite @ Test_core.suite @ Test_harden.suite @ Test_telemetry.suite
    @ Test_baselines.suite @ Test_adversary.suite @ Test_integration.suite
-   @ Test_batch_golden.suite @ Test_robustness_golden.suite @ Test_parity.suite
+   @ Test_batch_golden.suite @ Test_robustness_golden.suite @ Test_work_ledger.suite
+   @ Test_parity.suite
    @ Test_lru.suite @ Test_wire_fuzz.suite @ Test_serve.suite @ Test_stream.suite
    @ Test_backends.suite
    @ Test_planet.suite @ Test_ring.suite @ Test_shard.suite @ smoke_suite)
