@@ -6,12 +6,15 @@
      dune exec bench/main.exe fig3       -- error CDFs, all four methods
      dune exec bench/main.exe fig4       -- coverage vs number of landmarks
      dune exec bench/main.exe ablation   -- per-mechanism ablation
+     dune exec bench/main.exe robustness -- corrupted measurements
+     dune exec bench/main.exe secondary  -- region-valued secondary landmarks
+     dune exec bench/main.exe vivaldi    -- coordinate embedding vs Octant
      dune exec bench/main.exe timing     -- end-to-end solution times
      dune exec bench/main.exe adversary  -- error vs f under colluding Byzantine landmarks
      dune exec bench/main.exe stream     -- persistent sessions: incremental folds vs re-solves
      dune exec bench/main.exe batch      -- multicore batch engine, sequential vs N domains
+     dune exec bench/main.exe serve      -- localization daemon over loopback TCP
      dune exec bench/main.exe shard      -- planet substrate + sharded multi-daemon serving
-     dune exec bench/main.exe region     -- region backends: exact vs hybrid prefilter
      dune exec bench/main.exe geom       -- clip kernels: buffer vs list reference, alloc/op
      dune exec bench/main.exe micro      -- Bechamel micro-benchmarks
 
@@ -311,176 +314,6 @@ let batch () =
           "deterministic counters and span counts identical across jobs settings";
       ]
     ~rows:(List.rev !json_rows) "BENCH_batch.json"
-
-(* ------------------------------------------------------------------ *)
-(* Region backends *)
-(* ------------------------------------------------------------------ *)
-
-(* The pluggable region backends on the batch workload: exact (the
-   default) and hybrid (exact clips behind a bbox + occupancy-grid
-   prefilter).  Tracks per-backend solve wall, the fraction of piece-pair
-   clips the hybrid prefilter skips, and the accuracy cost relative to
-   exact — the numbers that decide when hybrid wins. *)
-let region_bench () =
-  banner "REGION: pluggable region backends (exact | hybrid)";
-  let bench_t0 = Emit.now () in
-  let deployment = Netsim.Deployment.make ~seed ~n_hosts () in
-  let bridge = Eval.Bridge.create deployment in
-  let n = Eval.Bridge.host_count bridge in
-  let n_lm = n / 2 in
-  let lm_set = Array.init n_lm Fun.id in
-  let landmarks = Eval.Bridge.landmarks_for bridge ~exclude:(-1) lm_set in
-  let inter = Eval.Bridge.inter_rtt_for bridge lm_set in
-  let n_targets = n - n_lm in
-  let obs =
-    Octant.Parallel.seq_init n_targets (fun i ->
-        Eval.Bridge.observations bridge ~landmark_indices:lm_set ~target:(n_lm + i))
-  in
-  let truths = Array.init n_targets (fun i -> Eval.Bridge.position bridge (n_lm + i)) in
-  Printf.printf "# %d fixed landmarks, %d targets, jobs=1 per row\n%!" n_lm n_targets;
-  let wall f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  let run spec =
-    Geo.Region_backend.reset_hybrid_stats ();
-    let config = { Octant.Pipeline.default_config with Octant.Pipeline.backend = spec } in
-    let ctx = Octant.Pipeline.prepare ~config ~landmarks ~inter_landmark_rtt_ms:inter () in
-    let ests, t =
-      wall (fun () -> Octant.Pipeline.localize_batch ~undns:Eval.Bridge.undns ~jobs:1 ctx obs)
-    in
-    (ests, t, Geo.Region_backend.hybrid_stats ())
-  in
-  let specs =
-    [
-      Geo.Region_backend.Exact;
-      Geo.Region_backend.Hybrid { cells = Geo.Region_backend.default_hybrid_cells };
-    ]
-  in
-  let rows =
-    List.map
-      (fun spec ->
-        let ests, t, stats = run spec in
-        (spec, ests, t, stats))
-      specs
-  in
-  let errors ests =
-    let errs = ref [] in
-    Array.iteri
-      (fun i est ->
-        match est with
-        | Ok est -> errs := Octant.Estimate.error_miles est truths.(i) :: !errs
-        | Error _ -> ())
-      ests;
-    Array.of_list (List.rev !errs)
-  in
-  let areas ests =
-    Array.map
-      (function Ok est -> est.Octant.Estimate.area_km2 | Error _ -> Float.nan)
-      ests
-  in
-  let covered ests =
-    Array.to_list (Array.mapi (fun i est -> (i, est)) ests)
-    |> List.filter (fun (i, est) ->
-           match est with Ok est -> Octant.Estimate.covers est truths.(i) | Error _ -> false)
-    |> List.length
-  in
-  let exact_ests, _, _ =
-    match rows with (_, e, t, s) :: _ -> (e, t, s) | [] -> assert false
-  in
-  let exact_median = Stats.Sample.median (errors exact_ests) in
-  let exact_areas = areas exact_ests in
-  let json_rows = ref [] in
-  let hybrid_skip_ratio = ref 0.0 and hybrid_err_pct = ref infinity in
-  List.iter
-    (fun (spec, ests, t, (stats : Geo.Region_backend.hybrid_stats)) ->
-      let name = Geo.Region_backend.spec_to_string spec in
-      let errs = errors ests in
-      let med = Stats.Sample.median errs in
-      let med_vs_exact_pct =
-        if exact_median > 0.0 then 100.0 *. Float.abs (med -. exact_median) /. exact_median
-        else 0.0
-      in
-      let ar = areas ests in
-      let area_err_pct, area_cmp_n =
-        let acc = ref 0.0 and cnt = ref 0 in
-        Array.iteri
-          (fun i a ->
-            let e = exact_areas.(i) in
-            if Float.is_finite a && Float.is_finite e then begin
-              incr cnt;
-              acc := !acc +. (100.0 *. Float.abs (a -. e) /. Float.max e 1.0)
-            end)
-          ar;
-        ((if !cnt = 0 then 0.0 else !acc /. float_of_int !cnt), !cnt)
-      in
-      let mean_area =
-        let finite = Array.to_list ar |> List.filter Float.is_finite in
-        List.fold_left ( +. ) 0.0 finite /. float_of_int (Stdlib.max 1 (List.length finite))
-      in
-      let cov = covered ests in
-      let pairs = stats.exact_clips + stats.skipped_bbox + stats.skipped_grid in
-      let skip_ratio =
-        if pairs = 0 then 0.0
-        else float_of_int (stats.skipped_bbox + stats.skipped_grid) /. float_of_int pairs
-      in
-      if name = "hybrid" then begin
-        hybrid_skip_ratio := skip_ratio;
-        hybrid_err_pct := med_vs_exact_pct
-      end;
-      Printf.printf
-        "  %-8s %6.2fs (%5.1f targets/s)  median %6.1f mi (vs exact %+5.1f%%)  mean area \
-         %9.0f km2 (err %5.1f%%)  covers %d/%d\n%!"
-        name t
-        (float_of_int n_targets /. t)
-        med med_vs_exact_pct mean_area area_err_pct cov n_targets;
-      if pairs > 0 then
-        Printf.printf
-        "           prefilter: %d pairs, %d clipped, %d bbox-skipped, %d grid-skipped \
-         (%.0f%% skipped)\n%!"
-          pairs stats.exact_clips stats.skipped_bbox stats.skipped_grid (100.0 *. skip_ratio);
-      json_rows :=
-        Json.Obj
-          [
-            ("backend", Json.Str name);
-            ("wall_s", Json.num t);
-            ("targets_per_s", Json.num (float_of_int n_targets /. t));
-            ("median_error_miles", Json.num med);
-            ("median_error_vs_exact_pct", Json.num med_vs_exact_pct);
-            ("mean_area_km2", Json.num mean_area);
-            ("mean_area_err_vs_exact_pct", Json.num area_err_pct);
-            ("area_compared_targets", Json.Num (float_of_int area_cmp_n));
-            ("covered", Json.Num (float_of_int cov));
-            ("clip_pairs", Json.Num (float_of_int pairs));
-            ("clips_exact", Json.Num (float_of_int stats.exact_clips));
-            ("skipped_bbox", Json.Num (float_of_int stats.skipped_bbox));
-            ("skipped_grid", Json.Num (float_of_int stats.skipped_grid));
-            ("skip_ratio", Json.num skip_ratio);
-          ]
-        :: !json_rows)
-    rows;
-  (* The hybrid backend earns its keep only if the prefilter actually
-     fires and the answer stays close to exact; fail loudly otherwise so
-     CI catches a regressed prefilter. *)
-  Emit.write ~bench:"region" ~t0:bench_t0
-    ~fields:
-      [
-        ("landmarks", Json.Num (float_of_int n_lm));
-        ("targets", Json.Num (float_of_int n_targets));
-        ("hybrid_skip_ratio", Json.num !hybrid_skip_ratio);
-        ("hybrid_median_error_vs_exact_pct", Json.num !hybrid_err_pct);
-      ]
-    ~gates:
-      [
-        Emit.gate "hybrid_skip_ratio" (!hybrid_skip_ratio >= 0.30)
-          (Printf.sprintf "hybrid prefilter skipped %.0f%% of clip pairs (want >= 30%%)"
-             (100.0 *. !hybrid_skip_ratio));
-        Emit.gate "hybrid_error_vs_exact" (!hybrid_err_pct <= 5.0)
-          (Printf.sprintf "hybrid median error %.1f%% away from exact (want within 5%%)"
-             !hybrid_err_pct);
-      ]
-    ~rows:(List.rev !json_rows) "BENCH_region.json"
 
 (* ------------------------------------------------------------------ *)
 (* Geometry kernels *)
@@ -1699,7 +1532,6 @@ let () =
   | "batch" -> batch ()
   | "serve" -> serve_bench ()
   | "shard" -> shard_bench ()
-  | "region" -> region_bench ()
   | "geom" -> geom ()
   | "micro" -> micro ()
   | "all" ->
@@ -1716,9 +1548,8 @@ let () =
       batch ();
       serve_bench ();
       shard_bench ();
-      region_bench ();
       geom ();
       micro ()
   | other ->
-      Printf.eprintf "unknown bench target %S (fig2|fig3|fig4|ablation|robustness|adversary|stream|secondary|vivaldi|timing|batch|serve|shard|region|geom|micro|all)\n" other;
+      Printf.eprintf "unknown bench target %S (fig2|fig3|fig4|ablation|robustness|adversary|stream|secondary|vivaldi|timing|batch|serve|shard|geom|micro|all)\n" other;
       exit 1

@@ -40,23 +40,6 @@ let jobs_arg =
 (* 0 = auto: let the library pick Domain.recommended_domain_count. *)
 let jobs_opt = function 0 -> None | j -> Some j
 
-let backend_conv =
-  let parse s =
-    match Geo.Region_backend.spec_of_string s with Ok v -> Ok v | Error e -> Error (`Msg e)
-  in
-  let print fmt s = Format.pp_print_string fmt (Geo.Region_backend.spec_to_string s) in
-  Arg.conv (parse, print)
-
-let backend_arg =
-  Arg.(
-    value
-    & opt backend_conv Geo.Region_backend.default
-    & info [ "backend" ] ~docv:"BACKEND"
-        ~doc:
-          "Region backend the solver dispatches through: $(b,exact) (polygon \
-           clipping, the default) or $(b,hybrid)[:CELLS] (exact clipping behind \
-           a bbox + occupancy-grid prefilter).")
-
 let harden_arg =
   Arg.(
     value & flag
@@ -126,7 +109,7 @@ let mk_bridge seed n_hosts probes =
 
 (* --- localize --- *)
 
-let localize seed hosts probes target no_piecewise no_geo backend harden telemetry =
+let localize seed hosts probes target no_piecewise no_geo harden telemetry =
   with_telemetry telemetry @@ fun () ->
   let deployment, bridge = mk_bridge seed hosts probes in
   let n = Eval.Bridge.host_count bridge in
@@ -145,7 +128,6 @@ let localize seed hosts probes target no_piecewise no_geo backend harden telemet
       Octant.Pipeline.use_piecewise = not no_piecewise;
       use_land_mask = not no_geo;
       whois_weight = (if no_geo then 0.0 else Octant.Pipeline.default_config.Octant.Pipeline.whois_weight);
-      backend;
       harden = harden_opt harden;
     }
   in
@@ -193,7 +175,7 @@ let localize_cmd =
     (Cmd.info "localize" ~doc:"Localize one host of a simulated deployment")
     Term.(
       const localize $ seed_arg $ hosts_arg $ probes_arg $ target $ no_piecewise $ no_geo
-      $ backend_arg $ harden_arg $ telemetry_arg)
+      $ harden_arg $ telemetry_arg)
 
 (* --- calibrate --- *)
 
@@ -216,15 +198,9 @@ let calibrate_cmd =
 
 (* --- study --- *)
 
-let study seed hosts probes jobs backend harden telemetry =
+let study seed hosts probes jobs harden telemetry =
   with_telemetry telemetry @@ fun () ->
-  let config =
-    {
-      Octant.Pipeline.default_config with
-      Octant.Pipeline.backend;
-      harden = harden_opt harden;
-    }
-  in
+  let config = { Octant.Pipeline.default_config with Octant.Pipeline.harden = harden_opt harden } in
   let s = Eval.Study.run ~config ~seed ~n_hosts:hosts ~probes ?jobs:(jobs_opt jobs) () in
   Eval.Report.print_figure3 s;
   print_newline ();
@@ -234,23 +210,16 @@ let study_cmd =
   Cmd.v
     (Cmd.info "study" ~doc:"Leave-one-out comparison of all methods (Figure 3)")
     Term.(
-      const study $ seed_arg $ hosts_arg $ probes_arg $ jobs_arg $ backend_arg $ harden_arg
-      $ telemetry_arg)
+      const study $ seed_arg $ hosts_arg $ probes_arg $ jobs_arg $ harden_arg $ telemetry_arg)
 
 (* --- sweep --- *)
 
-let sweep seed hosts counts jobs backend harden telemetry =
+let sweep seed hosts counts jobs harden telemetry =
   with_telemetry telemetry @@ fun () ->
   let landmark_counts =
     String.split_on_char ',' counts |> List.map String.trim |> List.map int_of_string
   in
-  let config =
-    {
-      Octant.Pipeline.default_config with
-      Octant.Pipeline.backend;
-      harden = harden_opt harden;
-    }
-  in
+  let config = { Octant.Pipeline.default_config with Octant.Pipeline.harden = harden_opt harden } in
   let s = Eval.Sweep.run ~config ~seed ~n_hosts:hosts ~landmark_counts ?jobs:(jobs_opt jobs) () in
   Eval.Report.print_figure4 s
 
@@ -264,8 +233,7 @@ let sweep_cmd =
   Cmd.v
     (Cmd.info "sweep" ~doc:"Coverage vs number of landmarks (Figure 4)")
     Term.(
-      const sweep $ seed_arg $ hosts_arg $ counts $ jobs_arg $ backend_arg $ harden_arg
-      $ telemetry_arg)
+      const sweep $ seed_arg $ hosts_arg $ counts $ jobs_arg $ harden_arg $ telemetry_arg)
 
 (* --- ablation --- *)
 
@@ -292,7 +260,7 @@ let ablation_cmd =
    evidence.  --verify re-solves the session's constraint log from
    scratch after every frame and fails on any divergence — the prefix
    -parity contract, checkable on any recorded feed. *)
-let stream seed hosts probes feed verify backend harden telemetry =
+let stream seed hosts probes feed verify harden telemetry =
   with_telemetry telemetry @@ fun () ->
   let module Protocol = Octant_serve.Protocol in
   let module Json = Octant_serve.Json in
@@ -301,13 +269,7 @@ let stream seed hosts probes feed verify backend harden telemetry =
   let all = Array.init n Fun.id in
   let landmarks = Eval.Bridge.landmarks_for bridge ~exclude:(-1) all in
   let inter = Eval.Bridge.inter_rtt_for bridge all in
-  let config =
-    {
-      Octant.Pipeline.default_config with
-      Octant.Pipeline.backend;
-      harden = harden_opt harden;
-    }
-  in
+  let config = { Octant.Pipeline.default_config with Octant.Pipeline.harden = harden_opt harden } in
   let ctx = Octant.Pipeline.prepare ~config ~landmarks ~inter_landmark_rtt_ms:inter () in
   let sessions = Octant_serve.Lru.create ~capacity:1024 () in
   let prev : (string, Octant.Estimate.t) Hashtbl.t = Hashtbl.create 8 in
@@ -428,8 +390,8 @@ let stream_cmd =
     (Cmd.info "stream"
        ~doc:"Replay a recorded observation feed through persistent solver sessions")
     Term.(
-      const stream $ seed_arg $ hosts_arg $ probes_arg $ feed $ verify $ backend_arg
-      $ harden_arg $ telemetry_arg)
+      const stream $ seed_arg $ hosts_arg $ probes_arg $ feed $ verify $ harden_arg
+      $ telemetry_arg)
 
 let main =
   Cmd.group

@@ -101,21 +101,6 @@ let telemetry_arg =
           "Collect telemetry for the run and emit it at shutdown: $(b,json) (JSON to \
            stdout) or $(b,json:FILE).")
 
-let backend_conv =
-  let parse s =
-    match Geo.Region_backend.spec_of_string s with Ok v -> Ok v | Error e -> Error (`Msg e)
-  in
-  Arg.conv (parse, fun fmt s -> Format.pp_print_string fmt (Geo.Region_backend.spec_to_string s))
-
-let backend_arg =
-  Arg.(
-    value
-    & opt backend_conv Geo.Region_backend.default
-    & info [ "backend" ] ~docv:"BACKEND"
-        ~doc:
-          "Region backend for every localization this daemon serves: $(b,exact) \
-           or $(b,hybrid)[:CELLS].")
-
 let harden_arg =
   Arg.(
     value & flag
@@ -128,7 +113,7 @@ let harden_arg =
            extraction.")
 
 let serve seed hosts probes port host jobs max_queue max_batch batch_delay_ms cache
-    cache_shards sessions max_conns deadline backend harden telemetry =
+    cache_shards sessions max_conns deadline harden telemetry =
   let telemetry_sink =
     match telemetry with
     | None -> None
@@ -156,8 +141,7 @@ let serve seed hosts probes port host jobs max_queue max_batch batch_delay_ms ca
       ~config:
         {
           Octant.Pipeline.default_config with
-          Octant.Pipeline.backend;
-          harden = (if harden then Some Octant.Harden.default else None);
+          Octant.Pipeline.harden = (if harden then Some Octant.Harden.default else None);
         }
       ~landmarks ~inter_landmark_rtt_ms:inter ()
   in
@@ -210,7 +194,7 @@ let main =
     Term.(
       const serve $ seed_arg $ hosts_arg $ probes_arg $ port_arg $ host_arg $ jobs_arg
       $ max_queue_arg $ max_batch_arg $ batch_delay_arg $ cache_arg
-      $ cache_shards_arg $ sessions_arg $ max_conns_arg $ deadline_arg $ backend_arg
-      $ harden_arg $ telemetry_arg)
+      $ cache_shards_arg $ sessions_arg $ max_conns_arg $ deadline_arg $ harden_arg
+      $ telemetry_arg)
 
 let () = exit (Cmd.eval main)

@@ -18,7 +18,6 @@ type config = {
   negative_weight_factor : float;
   weight_band : float;
   sol_only : bool;
-  backend : Geo.Region_backend.spec;
   harden : Harden.config option;
 }
 
@@ -43,7 +42,6 @@ let default_config =
     negative_weight_factor = 0.22;
     weight_band = 0.93;
     sol_only = false;
-    backend = Geo.Region_backend.default;
     harden = None;
   }
 
@@ -170,14 +168,8 @@ let geometry_cache_stats ctx = Geom_cache.stats ctx.geom_cache
    bit-identical. *)
 let tessellate ctx = Geom_cache.region_for ctx.geom_cache
 
-(* The hybrid backend needs the target's world geometry, so the config
-   carries a spec and the module is built per arrangement.  The exact spec
-   yields the identity backend: same cells, same golden. *)
 let solver_for ctx world =
-  Solver.create
-    ~config:{ Solver.default_config with Solver.harden = ctx.cfg.harden }
-    ~backend:(Geo.Region_backend.instantiate ctx.cfg.backend ~world)
-    ~world ()
+  Solver.create ~config:{ Solver.default_config with Solver.harden = ctx.cfg.harden } ~world ()
 
 (* ------------------------------------------------------------------ *)
 
@@ -791,9 +783,9 @@ module Session = struct
   (* The parity comparator: a from-scratch batch recompute over exactly
      the constraints the session holds, through a fresh arrangement with
      the same pinned knobs.  Incremental folding performs literally the
-     same [Solver.add] sequence, so on the exact backend the two estimates
-     are bit-identical at every feed prefix — the safety rail every
-     streaming test and the bench gate lean on. *)
+     same [Solver.add] sequence, so the two estimates are bit-identical
+     at every feed prefix — the safety rail every streaming test and the
+     bench gate lean on. *)
   let replay_estimate s =
     let t_start = Obs.Telemetry.now_s () in
     let max_cells, tess, area_threshold_km2, weight_band = knobs s.s_ctx in

@@ -40,10 +40,6 @@ type config = {
                                     always part of the region. *)
   sol_only : bool;              (** Ablation: speed-of-light bounds only, no
                                     calibration, no negative constraints. *)
-  backend : Geo.Region_backend.spec;
-      (** Region representation the solver dispatches through (default
-          [Exact]).  The hybrid backend is instantiated per target against
-          its world region. *)
   harden : Harden.config option;
       (** Byzantine-landmark hardening ({!Harden}): when set, each target's
           latency constraints are consistency-scored (conflicting landmarks
@@ -210,11 +206,11 @@ val geometry_cache_stats : context -> int * int
     widen).
 
     Parity contract (the safety rail): at every feed prefix,
-    {!Session.estimate} is bit-identical on the exact backend to
-    {!Session.replay_estimate} — a from-scratch batch recompute over the
-    session's constraint log — because folding performs literally the same
-    [Solver.add] sequence a replay would.  Property-tested, golden-pinned,
-    and enforced end to end through the daemon in [test_stream.ml]. *)
+    {!Session.estimate} is bit-identical to {!Session.replay_estimate} — a
+    from-scratch batch recompute over the session's constraint log —
+    because folding performs literally the same [Solver.add] sequence a
+    replay would.  Property-tested, golden-pinned, and enforced end to
+    end through the daemon in [test_stream.ml]. *)
 module Session : sig
   type t
 

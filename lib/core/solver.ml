@@ -1,5 +1,5 @@
-type 'r cell = {
-  region : 'r;
+type cell = {
+  region : Geo.Region.t;
   weight : float;
   bbox : Geo.Point.t * Geo.Point.t;
   area : float;
@@ -19,22 +19,14 @@ type config = {
 
 let default_config = { simplify_vertex_threshold = 140; simplify_tolerance_km = 2.0; harden = None }
 
-(* The arrangement packs its region backend existentially: cells are in
-   whatever representation the backend chose, and every operation
-   dispatches through the packed module.  The exact backend's conversions
-   are the identity, so the historical behavior (and the batch golden) is
-   reproduced bit for bit. *)
-type t =
-  | Packed : {
-      backend : 'r Geo.Region_intf.backend;
-      config : config;
-      cells : 'r cell list;
-      prune_bound : float option;
-          (* [Some b] once [add_all_pruned] has dropped cells: no dropped
-             cell's descendant in the complete fold weighs more than [b].
-             Such an arrangement is final. *)
-    }
-      -> t
+type t = {
+  config : config;
+  cells : cell list;
+  prune_bound : float option;
+      (* [Some b] once [add_all_pruned] has dropped cells: no dropped
+         cell's descendant in the complete fold weighs more than [b].
+         Such an arrangement is final. *)
+}
 
 let c_constraints = Obs.Telemetry.Counter.make ~domain:"solver" "constraints_added"
 let c_cells_split = Obs.Telemetry.Counter.make ~domain:"solver" "cells_split"
@@ -58,28 +50,29 @@ let c_fused_area_before =
 let c_fused_area_after =
   Obs.Telemetry.Counter.make ~domain:"solver" "fused_area_km2_after"
 
-let mk_cell (type r) ((module B) : r Geo.Region_intf.backend) cfg ?(approx = false)
-    (region : r) weight =
+let vertex_count region =
+  List.fold_left (fun acc p -> acc + Geo.Polygon.num_vertices p) 0 (Geo.Region.pieces region)
+
+let mk_cell cfg ?(approx = false) region weight =
   (* Clipping cost grows with boundary complexity: every traversal scans
      both boundaries and tests each edge pair near the other boundary.
      Cells that have accumulated many arc vertices get gently simplified
      (the default 2 km boundary shift is far below geolocalization
      scales). *)
   let region =
-    if B.vertex_count region > cfg.simplify_vertex_threshold then
-      B.simplify ~tolerance:cfg.simplify_tolerance_km region
+    if vertex_count region > cfg.simplify_vertex_threshold then
+      Geo.Region.simplify ~tolerance:cfg.simplify_tolerance_km region
     else region
   in
-  match B.bounding_box region with
+  match Geo.Region.bounding_box region with
   | None -> None
   | Some bbox ->
-      let area = B.area region in
+      let area = Geo.Region.area region in
       if area < 1e-6 then None else Some { region; weight; bbox; area; approx }
 
-let create ?(config = default_config) ?(backend = Geo.Region_backend.exact) ~world () =
-  let (module B) = backend in
-  match mk_cell (module B) config (B.of_region world) 0.0 with
-  | Some c -> Packed { backend = (module B); config; cells = [ c ]; prune_bound = None }
+let create ?(config = default_config) ~world () =
+  match mk_cell config world 0.0 with
+  | Some c -> { config; cells = [ c ]; prune_bound = None }
   | None -> invalid_arg "Solver.create: empty world"
 
 (* Fuse the lightest-smallest cells to respect the cap.  Fused cells keep
@@ -87,8 +80,7 @@ let create ?(config = default_config) ?(backend = Geo.Region_backend.exact) ~wor
    Fusion undershoots the cap by an eighth (hysteresis): fusing exactly to
    the cap would re-trigger the sort-and-fuse on almost every subsequent
    add. *)
-let enforce_cap (type r) ((module B) : r Geo.Region_intf.backend) cfg max_cells
-    (cells : r cell list) =
+let enforce_cap cfg max_cells cells =
   let n = List.length cells in
   if n <= max_cells then cells
   else begin
@@ -135,10 +127,7 @@ let enforce_cap (type r) ((module B) : r Geo.Region_intf.backend) cfg max_cells
           (Geo.Point.make !lo_x !lo_y)
           (Geo.Point.make !hi_x !hi_y)
       with
-      | rect ->
-          mk_cell (module B) cfg ~approx:true
-            (B.of_region (Geo.Region.of_polygon rect))
-            fused_weight
+      | rect -> mk_cell cfg ~approx:true (Geo.Region.of_polygon rect) fused_weight
       | exception Invalid_argument _ -> None
     in
     match fused with
@@ -146,113 +135,88 @@ let enforce_cap (type r) ((module B) : r Geo.Region_intf.backend) cfg max_cells
     | None -> Array.to_list keep
   end
 
-let split_cell (type r) ((module B) : r Geo.Region_intf.backend) cfg
-    (constraint_region : r) (c : r cell) =
-  let inside = B.inter c.region constraint_region in
-  let outside = B.diff c.region constraint_region in
-  ( mk_cell (module B) cfg ~approx:c.approx inside 0.0,
-    mk_cell (module B) cfg ~approx:c.approx outside 0.0 )
+let split_cell cfg constraint_region c =
+  let inside = Geo.Region.inter c.region constraint_region in
+  let outside = Geo.Region.diff c.region constraint_region in
+  (mk_cell cfg ~approx:c.approx inside 0.0, mk_cell cfg ~approx:c.approx outside 0.0)
 
 let default_tessellate (constr : Constr.t) = Constr.region_of_shape constr.Constr.shape
 
 let add ?(max_cells = 384) ?(tessellate = default_tessellate) t (constr : Constr.t) =
-  (match t with
-  | Packed { prune_bound = Some _; _ } -> invalid_arg "Solver.add: a pruned arrangement is final"
-  | Packed { prune_bound = None; _ } -> ());
+  if Option.is_some t.prune_bound then invalid_arg "Solver.add: a pruned arrangement is final";
   Obs.Telemetry.with_span "solver.add" (fun () ->
-      match t with
-      | Packed { backend = (module B); config; cells; _ } ->
-          let w = constr.Constr.weight in
-          (* Tessellation stays in the exact world (so the geometry cache
-             is backend-agnostic); the backend imports it once per
-             constraint. *)
-          let lazy_region = lazy (B.of_region (tessellate constr)) in
-          let on_inside, on_outside =
-            match constr.Constr.polarity with
-            | Constr.Positive -> (w, 0.0)
-            | Constr.Negative -> (0.0, w)
-          in
-          Obs.Telemetry.Counter.incr c_constraints;
-          let audit = Obs.Telemetry.Audit.collecting () in
-          let cells_before = if audit then List.length cells else 0 in
-          let n_straddled = ref 0 and n_created = ref 0 and n_dropped = ref 0 in
-          let next =
-            List.concat_map
-              (fun c ->
-                match Constr.classify_box constr.Constr.shape c.bbox with
-                | Constr.Cell_inside -> [ { c with weight = c.weight +. on_inside } ]
-                | Constr.Cell_outside -> [ { c with weight = c.weight +. on_outside } ]
-                | Constr.Straddles -> (
-                    incr n_straddled;
-                    let inside, outside =
-                      split_cell (module B) config (Lazy.force lazy_region) c
-                    in
-                    match (inside, outside) with
-                    | None, None ->
-                        incr n_dropped;
-                        []
-                    | Some i, None -> [ { i with weight = c.weight +. on_inside } ]
-                    | None, Some o -> [ { o with weight = c.weight +. on_outside } ]
-                    | Some i, Some o ->
-                        incr n_created;
-                        [
-                          { i with weight = c.weight +. on_inside };
-                          { o with weight = c.weight +. on_outside };
-                        ]))
-              cells
-          in
-          Obs.Telemetry.Counter.add c_cells_split !n_straddled;
-          Obs.Telemetry.Counter.add c_cells_created !n_created;
-          Obs.Telemetry.Counter.add c_cells_dropped !n_dropped;
-          if audit then
-            Obs.Telemetry.Audit.record
-              {
-                Obs.Telemetry.Audit.source = constr.Constr.source;
-                weight = w;
-                polarity =
-                  (match constr.Constr.polarity with
-                  | Constr.Positive -> "positive"
-                  | Constr.Negative -> "negative");
-                cells_before;
-                cells_after = List.length next;
-                splits = !n_straddled;
-                dropped = !n_dropped;
-                shrank = !n_straddled > 0 || !n_dropped > 0;
-              };
-          Packed
-            {
-              backend = (module B);
-              config;
-              cells = enforce_cap (module B) config max_cells next;
-              prune_bound = None;
-            })
+      let { config; cells; _ } = t in
+      let w = constr.Constr.weight in
+      let lazy_region = lazy (tessellate constr) in
+      let on_inside, on_outside =
+        match constr.Constr.polarity with
+        | Constr.Positive -> (w, 0.0)
+        | Constr.Negative -> (0.0, w)
+      in
+      Obs.Telemetry.Counter.incr c_constraints;
+      let audit = Obs.Telemetry.Audit.collecting () in
+      let cells_before = if audit then List.length cells else 0 in
+      let n_straddled = ref 0 and n_created = ref 0 and n_dropped = ref 0 in
+      let next =
+        List.concat_map
+          (fun c ->
+            match Constr.classify_box constr.Constr.shape c.bbox with
+            | Constr.Cell_inside -> [ { c with weight = c.weight +. on_inside } ]
+            | Constr.Cell_outside -> [ { c with weight = c.weight +. on_outside } ]
+            | Constr.Straddles -> (
+                incr n_straddled;
+                let inside, outside = split_cell config (Lazy.force lazy_region) c in
+                match (inside, outside) with
+                | None, None ->
+                    incr n_dropped;
+                    []
+                | Some i, None -> [ { i with weight = c.weight +. on_inside } ]
+                | None, Some o -> [ { o with weight = c.weight +. on_outside } ]
+                | Some i, Some o ->
+                    incr n_created;
+                    [
+                      { i with weight = c.weight +. on_inside };
+                      { o with weight = c.weight +. on_outside };
+                    ]))
+          cells
+      in
+      Obs.Telemetry.Counter.add c_cells_split !n_straddled;
+      Obs.Telemetry.Counter.add c_cells_created !n_created;
+      Obs.Telemetry.Counter.add c_cells_dropped !n_dropped;
+      if audit then
+        Obs.Telemetry.Audit.record
+          {
+            Obs.Telemetry.Audit.source = constr.Constr.source;
+            weight = w;
+            polarity =
+              (match constr.Constr.polarity with
+              | Constr.Positive -> "positive"
+              | Constr.Negative -> "negative");
+            cells_before;
+            cells_after = List.length next;
+            splits = !n_straddled;
+            dropped = !n_dropped;
+            shrank = !n_straddled > 0 || !n_dropped > 0;
+          };
+      { config; cells = enforce_cap config max_cells next; prune_bound = None })
 
 let add_all ?max_cells ?tessellate t constraints =
   List.fold_left (fun acc c -> add ?max_cells ?tessellate acc c) t constraints
 
-let cell_count t = match t with Packed { cells; _ } -> List.length cells
-
-let max_weight t =
-  match t with
-  | Packed { cells; _ } -> List.fold_left (fun acc c -> Float.max acc c.weight) neg_infinity cells
+let cell_count t = List.length t.cells
+let max_weight t = List.fold_left (fun acc c -> Float.max acc c.weight) neg_infinity t.cells
 
 let sorted_cells cells =
   List.sort
     (fun a b -> match compare b.weight a.weight with 0 -> compare b.area a.area | c -> c)
     cells
 
-let cells t =
-  match t with
-  | Packed { backend = (module B); cells; _ } ->
-      List.map (fun c -> (B.to_region c.region, c.weight)) (sorted_cells cells)
-
-let backend_name t = match t with Packed { backend = (module B); _ } -> B.name
+let cells t = List.map (fun c -> (c.region, c.weight)) (sorted_cells t.cells)
 
 (* The selection rule of [solve], shared with the pruning certificate.
    Returns the top cell, the selected cells heaviest first, and how many
    band cells the consensus trim dropped. *)
-let select (type r) ((module B) : r Geo.Region_intf.backend) config ~area_threshold_km2
-    ~weight_band (cells : r cell list) =
+let select config ~area_threshold_km2 ~weight_band cells =
   match sorted_cells cells with
   | [] -> invalid_arg "Solver.solve: empty arrangement"
   | first :: _ as sorted ->
@@ -270,15 +234,17 @@ let select (type r) ((module B) : r Geo.Region_intf.backend) config ~area_thresh
         match config.harden with
         | None -> fun _ -> false
         | Some h ->
-            let top_centroid = B.centroid first.region in
-            fun (c : _ cell) ->
-              let far = Geo.Point.dist (B.centroid c.region) top_centroid > h.Harden.trim_band_km in
+            let top_centroid = Geo.Region.centroid first.region in
+            fun c ->
+              let far =
+                Geo.Point.dist (Geo.Region.centroid c.region) top_centroid > h.Harden.trim_band_km
+              in
               if far then incr trimmed;
               far
       in
       let rec take acc acc_area = function
         | [] -> List.rev acc
-        | (c : _ cell) :: rest ->
+        | c :: rest ->
             if c.weight >= band_floor -. 1e-9 then
               if trim c then take acc acc_area rest else take (c :: acc) (acc_area +. c.area) rest
             else if acc <> [] && acc_area >= area_threshold_km2 then List.rev acc
@@ -293,11 +259,11 @@ let select (type r) ((module B) : r Geo.Region_intf.backend) config ~area_thresh
    [take] over the complete arrangement stops before it reaches a missing
    cell, and selects exactly what it selects here.  The heavy cells are a
    prefix of [selected], so their area sums in [take]'s own order. *)
-let certified ~area_threshold_km2 ~weight_band ~bound (first : _ cell) selected =
-  let heavy = List.filter (fun (c : _ cell) -> c.weight > bound) selected in
+let certified ~area_threshold_km2 ~weight_band ~bound (first : cell) selected =
+  let heavy = List.filter (fun (c : cell) -> c.weight > bound) selected in
   bound < (weight_band *. first.weight) -. 1e-9
   && heavy <> []
-  && List.fold_left (fun acc (c : _ cell) -> acc +. c.area) 0.0 heavy >= area_threshold_km2
+  && List.fold_left (fun acc (c : cell) -> acc +. c.area) 0.0 heavy >= area_threshold_km2
 
 (* The lighter of the band floor and L, the weight at which the heaviest
    exact cells already cover the threshold.  A cell that ends below both
@@ -328,24 +294,23 @@ let add_all_pruned ?max_cells ?tessellate ~area_threshold_km2 ~weight_band t con
   let pass () =
     List.fold_left2
       (fun (t, bound, pruned) c rest ->
-        match add ?max_cells ?tessellate t c with
-        | Packed p ->
-            let cut = selection_cut ~area_threshold_km2 ~weight_band p.cells in
-            (* The 1e-9 is [take]'s band slack: it absorbs the rounding
-               gap between [rest] and a descendant's own sum. *)
-            let kept, dropped =
-              List.partition (fun (c : _ cell) -> c.weight +. rest +. 1e-9 >= cut) p.cells
-            in
-            if dropped = [] then (Packed p, bound, pruned)
-            else
-              let bound =
-                List.fold_left
-                  (fun b (c : _ cell) -> Float.max b (c.weight +. rest +. 1e-9))
-                  bound dropped
-              in
-              let n = List.length dropped in
-              Obs.Telemetry.Counter.add c_cells_pruned n;
-              (Packed { p with cells = kept }, bound, pruned + n))
+        let p = add ?max_cells ?tessellate t c in
+        let cut = selection_cut ~area_threshold_km2 ~weight_band p.cells in
+        (* The 1e-9 is [take]'s band slack: it absorbs the rounding gap
+           between [rest] and a descendant's own sum. *)
+        let kept, dropped =
+          List.partition (fun (c : cell) -> c.weight +. rest +. 1e-9 >= cut) p.cells
+        in
+        if dropped = [] then (p, bound, pruned)
+        else
+          let bound =
+            List.fold_left
+              (fun b (c : cell) -> Float.max b (c.weight +. rest +. 1e-9))
+              bound dropped
+          in
+          let n = List.length dropped in
+          Obs.Telemetry.Counter.add c_cells_pruned n;
+          ({ p with cells = kept }, bound, pruned + n))
       (t, neg_infinity, 0) constraints rests
   in
   (* The discarded pass of a fallback must not reach the audit log: its
@@ -354,15 +319,12 @@ let add_all_pruned ?max_cells ?tessellate ~area_threshold_km2 ~weight_band t con
     if Obs.Telemetry.Audit.collecting () then Obs.Telemetry.Audit.collect pass else (pass (), [])
   in
   let result =
-    match folded with
-    | _ when pruned = 0 -> Some folded
-    | Packed ({ backend = (module B); config; cells; _ } as p) ->
-        let first, selected, _ =
-          select (module B) config ~area_threshold_km2 ~weight_band cells
-        in
-        if certified ~area_threshold_km2 ~weight_band ~bound first selected then
-          Some (Packed { p with prune_bound = Some bound })
-        else None
+    if pruned = 0 then Some folded
+    else
+      let first, selected, _ = select folded.config ~area_threshold_km2 ~weight_band folded.cells in
+      if certified ~area_threshold_km2 ~weight_band ~bound first selected then
+        Some { folded with prune_bound = Some bound }
+      else None
   in
   match result with
   | Some t ->
@@ -382,82 +344,78 @@ type estimate = {
 
 let solve ?(area_threshold_km2 = 5000.0) ?(weight_band = 1.0) t =
   Obs.Telemetry.with_span "solver.solve" @@ fun () ->
-  match t with
-  | Packed { backend = (module B); config; cells; prune_bound } ->
-      let first, selected, trimmed =
-        select (module B) config ~area_threshold_km2 ~weight_band cells
-      in
-      (match prune_bound with
-      | Some bound when not (certified ~area_threshold_km2 ~weight_band ~bound first selected) ->
-          invalid_arg "Solver.solve: these settings break the pruned arrangement's certificate"
-      | _ -> ());
-      let used = List.length selected in
-      Obs.Telemetry.Counter.add c_cells_trimmed trimmed;
-      Obs.Telemetry.Counter.incr c_solves;
-      Obs.Telemetry.Counter.add c_cells_selected used;
-      (* Exact cells are disjoint by construction, so their union is
-         concatenation.  Approximate cells (cap-fusion rectangles and their
-         fragments) may overlap the exact ones, so each is clipped against
-         the other selected cells before it joins the region — otherwise
-         [area_km2] and the reported region would double-count the
-         overlap.  Only selected cells pay this; a bbox test skips the
-         pairs that cannot meet. *)
-      let exact_sel, approx_sel = List.partition (fun c -> not c.approx) selected in
-      let boxes_meet (alo, ahi) (blo, bhi) =
-        alo.Geo.Point.x < bhi.Geo.Point.x
-        && ahi.Geo.Point.x > blo.Geo.Point.x
-        && alo.Geo.Point.y < bhi.Geo.Point.y
-        && ahi.Geo.Point.y > blo.Geo.Point.y
-      in
-      let approx_regions =
-        List.fold_left
-          (fun clipped a ->
-            let r =
-              List.fold_left
-                (fun acc e ->
-                  if B.is_empty acc || not (boxes_meet a.bbox e.bbox) then acc
-                  else B.diff acc e.region)
-                a.region exact_sel
-            in
-            (* Earlier approximate cells were already clipped; subtract
-               them too so approx/approx overlap is not counted twice. *)
-            let r =
-              List.fold_left
-                (fun acc prev -> if B.is_empty acc then acc else B.diff acc prev)
-                r clipped
-            in
-            r :: clipped)
-          [] approx_sel
-      in
-      let region =
-        Geo.Region.of_polygons
-          (List.concat_map (fun (c : _ cell) -> B.pieces c.region) exact_sel
-          @ List.concat_map B.pieces approx_regions)
-      in
-      (* The point estimate comes from the top-weight tier only: averaging
-         over the whole reported region would let large low-confidence
-         cells drag the point away from where the evidence concentrates. *)
-      let top_tier =
-        List.filter (fun (c : _ cell) -> c.weight >= (0.995 *. first.weight) -. 1e-9) selected
-      in
-      let top_tier = if top_tier = [] then [ first ] else top_tier in
-      let total_mass =
-        List.fold_left (fun acc (c : _ cell) -> acc +. ((c.weight +. 1e-9) *. c.area)) 0.0 top_tier
-      in
-      let point =
-        List.fold_left
-          (fun acc (c : _ cell) ->
-            let m = (c.weight +. 1e-9) *. c.area /. total_mass in
-            Geo.Point.add acc (Geo.Point.scale m (B.centroid c.region)))
-          Geo.Point.zero top_tier
-      in
-      {
-        region;
-        weight = first.weight;
-        point;
-        area_km2 = Geo.Region.area region;
-        cells_used = used;
-      }
+  let first, selected, trimmed = select t.config ~area_threshold_km2 ~weight_band t.cells in
+  (match t.prune_bound with
+  | Some bound when not (certified ~area_threshold_km2 ~weight_band ~bound first selected) ->
+      invalid_arg "Solver.solve: these settings break the pruned arrangement's certificate"
+  | _ -> ());
+  let used = List.length selected in
+  Obs.Telemetry.Counter.add c_cells_trimmed trimmed;
+  Obs.Telemetry.Counter.incr c_solves;
+  Obs.Telemetry.Counter.add c_cells_selected used;
+  (* Exact cells are disjoint by construction, so their union is
+     concatenation.  Approximate cells (cap-fusion rectangles and their
+     fragments) may overlap the exact ones, so each is clipped against
+     the other selected cells before it joins the region — otherwise
+     [area_km2] and the reported region would double-count the
+     overlap.  Only selected cells pay this; a bbox test skips the
+     pairs that cannot meet. *)
+  let exact_sel, approx_sel = List.partition (fun c -> not c.approx) selected in
+  let boxes_meet (alo, ahi) (blo, bhi) =
+    alo.Geo.Point.x < bhi.Geo.Point.x
+    && ahi.Geo.Point.x > blo.Geo.Point.x
+    && alo.Geo.Point.y < bhi.Geo.Point.y
+    && ahi.Geo.Point.y > blo.Geo.Point.y
+  in
+  let approx_regions =
+    List.fold_left
+      (fun clipped a ->
+        let r =
+          List.fold_left
+            (fun acc e ->
+              if Geo.Region.is_empty acc || not (boxes_meet a.bbox e.bbox) then acc
+              else Geo.Region.diff acc e.region)
+            a.region exact_sel
+        in
+        (* Earlier approximate cells were already clipped; subtract
+           them too so approx/approx overlap is not counted twice. *)
+        let r =
+          List.fold_left
+            (fun acc prev -> if Geo.Region.is_empty acc then acc else Geo.Region.diff acc prev)
+            r clipped
+        in
+        r :: clipped)
+      [] approx_sel
+  in
+  let region =
+    Geo.Region.of_polygons
+      (List.concat_map (fun (c : cell) -> Geo.Region.pieces c.region) exact_sel
+      @ List.concat_map Geo.Region.pieces approx_regions)
+  in
+  (* The point estimate comes from the top-weight tier only: averaging
+     over the whole reported region would let large low-confidence
+     cells drag the point away from where the evidence concentrates. *)
+  let top_tier =
+    List.filter (fun (c : cell) -> c.weight >= (0.995 *. first.weight) -. 1e-9) selected
+  in
+  let top_tier = if top_tier = [] then [ first ] else top_tier in
+  let total_mass =
+    List.fold_left (fun acc (c : cell) -> acc +. ((c.weight +. 1e-9) *. c.area)) 0.0 top_tier
+  in
+  let point =
+    List.fold_left
+      (fun acc (c : cell) ->
+        let m = (c.weight +. 1e-9) *. c.area /. total_mass in
+        Geo.Point.add acc (Geo.Point.scale m (Geo.Region.centroid c.region)))
+      Geo.Point.zero top_tier
+  in
+  {
+    region;
+    weight = first.weight;
+    point;
+    area_km2 = Geo.Region.area region;
+    cells_used = used;
+  }
 
 (* ---- Persistent per-target sessions (streaming re-localization) ---- *)
 

@@ -27,12 +27,8 @@
     approximate and {!solve} subtracts that overlap from the cells it
     selects, so the reported region and [area_km2] never double-count.
 
-    The arrangement is parametric in its {e region backend}
-    ({!Geo.Region_intf.S}): cells live in whatever representation the
-    backend provides (exact polygons, or polygons behind the hybrid clip
-    prefilter) and every geometric operation dispatches through it.  The
-    default is the exact backend, which reproduces the historical solver
-    bit for bit. *)
+    Cells are exact {!Geo.Region.t} values, and every split is one
+    {!Geo.Region.inter} and one {!Geo.Region.diff}. *)
 
 type t
 
@@ -55,20 +51,15 @@ val default_config : config
 (** The historical constants: threshold 140, tolerance 2 km, no
     hardening. *)
 
-val create :
-  ?config:config -> ?backend:Geo.Region_intf.packed -> world:Geo.Region.t -> unit -> t
-(** Fresh arrangement with a single zero-weight cell covering the world.
-    [backend] (default {!Geo.Region_backend.exact}) fixes the region
-    representation for the arrangement's lifetime; the world and every
-    tessellated constraint are imported through it. *)
+val create : ?config:config -> world:Geo.Region.t -> unit -> t
+(** Fresh arrangement with a single zero-weight cell covering the world. *)
 
 val add : ?max_cells:int -> ?tessellate:(Constr.t -> Geo.Region.t) -> t -> Constr.t -> t
 (** Fold one constraint in (default cell cap 384).  [tessellate] converts
-    the constraint's analytic shape to the (exact-world) polygonal region
-    used for clipping; it defaults to {!Constr.region_of_shape} and
-    exists so callers can plug in a memoized discretization (see
-    {!Geom_cache.region_for}).  The result is imported into the
-    arrangement's backend once per constraint.
+    the constraint's analytic shape to the polygonal region used for
+    clipping; it defaults to {!Constr.region_of_shape} and exists so
+    callers can plug in a memoized discretization (see
+    {!Geom_cache.region_for}).  It runs at most once per constraint.
     @raise Invalid_argument on an arrangement {!add_all_pruned} pruned. *)
 
 val add_all : ?max_cells:int -> ?tessellate:(Constr.t -> Geo.Region.t) -> t -> Constr.t list -> t
@@ -128,9 +119,6 @@ val cell_count : t -> int
 
 val max_weight : t -> float
 
-val backend_name : t -> string
-(** Name of the region backend this arrangement dispatches through. *)
-
 val cells : t -> (Geo.Region.t * float) list
 (** All cells with their weights, heaviest first.  After
     {!add_all_pruned} these are the kept cells only, which no longer
@@ -164,7 +152,7 @@ val solve : ?area_threshold_km2:float -> ?weight_band:float -> t -> estimate
     — the underlying solver is persistent, so this performs literally the
     same [add] calls a from-scratch batch replay of the log would, which
     makes prefix parity (incremental ≡ batch at every feed prefix)
-    structural on the exact backend.  {!Session.retire} drops evidence at
+    structural.  {!Session.retire} drops evidence at
     or below an epoch and re-solves from the surviving log suffix
     (correct-first decay). *)
 module Session : sig

@@ -133,11 +133,8 @@ let run ?(config = Octant.Pipeline.default_config) ?(seed = 7) ?(n_hosts = 51) ?
           (prepared.Octant.Pipeline.constraints @ secondary_constraints)
       in
       let solver =
-        let world = prepared.Octant.Pipeline.world in
         Octant.Solver.add_all ~max_cells:cfg.Octant.Pipeline.max_cells
-          (Octant.Solver.create
-             ~backend:(Geo.Region_backend.instantiate cfg.Octant.Pipeline.backend ~world)
-             ~world ())
+          (Octant.Solver.create ~world:prepared.Octant.Pipeline.world ())
           all_constraints
       in
       let sol =

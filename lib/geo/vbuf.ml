@@ -9,9 +9,12 @@
    entire halfplane-clip cascade allocates nothing until the final ring is
    materialized as a polygon.
 
-   Buffers are domain-local: [acquire]/[release] go through a
-   [Domain.DLS] free list, so concurrent batch workers never share a
-   buffer and the pool needs no locking. *)
+   Each domain has its own free list ([Domain.DLS]), so batch worker
+   domains never contend on one.  Systhreads of one domain do share it
+   (the daemon clips on its batcher thread and its session thread), and
+   the runtime may switch between them at any allocation, so the list
+   head is an [Atomic] that [acquire] and [release] swing by
+   compare-and-set. *)
 
 type t = {
   mutable xs : float array;
@@ -59,20 +62,26 @@ let to_points b =
 
 (* ---- Per-domain buffer pool ---- *)
 
-let pool : t list ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref [])
+(* Every [release] conses a fresh cell, so a head that compares equal
+   was not popped and pushed back in between: no ABA. *)
+let pool : t list Atomic.t Domain.DLS.key = Domain.DLS.new_key (fun () -> Atomic.make [])
 
-let acquire () =
-  let cell = Domain.DLS.get pool in
-  match !cell with
+let rec pool_pop head =
+  match Atomic.get head with
   | [] -> create 128
-  | b :: rest ->
-      cell := rest;
-      b.n <- 0;
-      b
+  | b :: rest as seen ->
+      if Atomic.compare_and_set head seen rest then begin
+        b.n <- 0;
+        b
+      end
+      else pool_pop head
 
-let release b =
-  let cell = Domain.DLS.get pool in
-  cell := b :: !cell
+let rec pool_push head b =
+  let seen = Atomic.get head in
+  if not (Atomic.compare_and_set head seen (b :: seen)) then pool_push head b
+
+let acquire () = pool_pop (Domain.DLS.get pool)
+let release b = pool_push (Domain.DLS.get pool) b
 
 let with_pair f =
   let a = acquire () in

@@ -5,6 +5,8 @@
     single heap block per vertex.  Buffers are recycled through a
     per-domain free list ([Domain.DLS]), which keeps the batch engine's
     worker domains from sharing (and contending on) scratch memory.
+    Systhreads of one domain share its list; its head is updated by
+    compare-and-set, so they never hold the same buffer.
 
     The representation is deliberately transparent: kernels index
     [xs]/[ys] directly up to [n].  Only the clipping layer should depend
@@ -38,7 +40,8 @@ val to_points : t -> Point.t array
 val with_pair : (t -> t -> 'a) -> 'a
 (** Run [f] with two scratch buffers from the calling domain's pool; the
     buffers are returned to the pool afterwards (also on exceptions).
-    Reentrant: nested calls get distinct buffers. *)
+    Reentrant, and safe from several systhreads of one domain: nested or
+    concurrent calls get distinct buffers. *)
 
 val with_one : (t -> 'a) -> 'a
 (** {!with_pair} with a single buffer. *)

@@ -399,7 +399,14 @@ let output_pending t =
 let advance t handler ~drain_timeout_s phase =
   let now = Unix.gettimeofday () in
   match phase with
-  | Serving -> Some (if Atomic.get t.stopping then Draining (now +. drain_timeout_s) else Serving)
+  | Serving when Atomic.get t.stopping ->
+      (* A client whose connect returned before [stop] sits in the
+         listen backlog; closing the listener would reset it with its
+         requests unread.  Take it in once, then refuse new ones. *)
+      (try accept_ready t
+       with Unix.Unix_error _ -> Obs.Telemetry.Counter.incr t.counters.loop_failures);
+      Some (Draining (now +. drain_timeout_s))
+  | Serving -> Some Serving
   | Draining deadline ->
       if handler.in_flight () = 0 || now >= deadline then begin
         (try handler.on_drained ()

@@ -21,7 +21,8 @@
     connection, not the process that embeds the server.
 
     {b Drain.}  {!stop} runs one policy for both servers:
-    - stop accepting new connections;
+    - accept the clients already in the listen backlog once, then stop
+      accepting new connections;
     - keep reading clients and hand every frame to the handler, which
       answers it: [ok], or a ["draining"] error once {!draining} holds;
     - wait until [in_flight] reads 0 or [drain_timeout_s] runs out, then

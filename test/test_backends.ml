@@ -1,13 +1,12 @@
-(* Region-backend parity and solver-config regression suites.
+(* Exact-region oracle parity and solver-config regression suites.
 
    The parity property drives long random boolean chains (inter/diff/union
    of disks, annuli, and rectangles, all clipped to a fixed world box)
-   through the exact and hybrid backends via the same packed-module
-   interface the solver uses, and through the Grid_region raster oracle.
-   The oracle and hybrid must agree with exact on area within a tolerance
-   derived from their lattice pitch, and on membership at every sample
+   through {!Region} and through the Grid_region raster oracle.  The
+   oracle must agree with the exact chain on area within a tolerance
+   derived from its lattice pitch, and on membership at every sample
    point that sits safely away from all input boundaries — the only place
-   a raster or an occupancy-prefilter skip is allowed to disagree.
+   a raster is allowed to disagree.
 
    The config tests pin Solver.default_config to the historical constants
    (threshold 140 vertices, tolerance 2 km) and check the threshold
@@ -56,8 +55,8 @@ let rand_ops rng =
       in
       (op, rand_shape rng))
 
-(* The slice of {!Region_intf.S} a chain needs, which the raster oracle
-   also provides. *)
+(* The slice of {!Region} a chain needs, which the raster oracle also
+   provides. *)
 module type CHAIN = sig
   type t
 
@@ -71,6 +70,12 @@ end
 
 let grid_resolution = 64
 
+module Exact_chain = struct
+  include Region
+
+  let of_region r = r
+end
+
 (* The raster oracle at [grid_resolution]² cells over the world's box. *)
 let grid_oracle world : (module CHAIN) =
   let lo, hi = Option.get (Region.bounding_box world) in
@@ -80,8 +85,8 @@ let grid_oracle world : (module CHAIN) =
     let of_region = Grid_region.of_region ~lo ~hi ~resolution:grid_resolution
   end)
 
-(* Run the chain through any backend, abstractly.  Returns the final
-   area plus membership at each probe point. *)
+(* Run the chain through either representation, abstractly.  Returns the
+   final area plus membership at each probe point. *)
 let run_chain (module B : CHAIN) ops probes =
   let final =
     List.fold_left
@@ -94,10 +99,10 @@ let run_chain (module B : CHAIN) ops probes =
   (B.area final, Array.map (fun p -> B.contains final p) probes)
 
 (* Minimum distance from [p] to any input boundary (all chain shapes plus
-   the world box).  Raster membership is sampled at cell centers and the
-   hybrid prefilter may drop sub-cell slivers, so disagreement with exact
-   is only legal within a lattice pitch of some input boundary: every
-   intermediate and final boundary segment descends from one. *)
+   the world box).  Raster membership is sampled at cell centers, so
+   disagreement with exact is only legal within a lattice pitch of some
+   input boundary: every intermediate and final boundary segment descends
+   from one. *)
 let boundary_distance shapes p =
   List.fold_left
     (fun acc region ->
@@ -115,7 +120,7 @@ let total_perimeter shapes =
 let arb_seed = QCheck.make ~print:string_of_int QCheck.Gen.(0 -- 1_000_000)
 
 let prop_chain_parity =
-  QCheck.Test.make ~count:12 ~name:"grid and hybrid chains track the exact backend" arb_seed
+  QCheck.Test.make ~count:12 ~name:"grid oracle chains track exact regions" arb_seed
     (fun seed ->
       let rng = Stats.Rng.create (0x0c7a + seed) in
       let ops = rand_ops rng in
@@ -124,67 +129,30 @@ let prop_chain_parity =
             pt (Stats.Rng.uniform rng (-395.0) 395.0) (Stats.Rng.uniform rng (-395.0) 395.0))
       in
       let w = world () in
-      let (module Hybrid) =
-        Region_backend.hybrid ~cells:Region_backend.default_hybrid_cells ~world:w
-      in
-      let exact_area, exact_in = run_chain (module Region_backend.Exact) ops probes in
+      let exact_area, exact_in = run_chain (module Exact_chain) ops probes in
       let grid_area, grid_in = run_chain (grid_oracle w) ops probes in
-      let hybrid_area, hybrid_in = run_chain (module Hybrid) ops probes in
       let span = world_hi.Point.x -. world_lo.Point.x in
       let grid_cell = span /. float_of_int grid_resolution in
-      let hybrid_cell = span /. float_of_int Region_backend.default_hybrid_cells in
       let shapes = w :: List.map snd ops in
       let perim = total_perimeter shapes in
       (* Raster error is at most the band of cells straddling some input
-         boundary; prefilter slivers are thinner than one lattice cell. *)
+         boundary. *)
       let grid_tol = (0.05 *. Float.max exact_area 1000.0) +. (2.5 *. perim *. grid_cell) in
-      let hybrid_tol = (0.01 *. Float.max exact_area 100.0) +. (0.5 *. perim *. hybrid_cell) in
       if Float.abs (grid_area -. exact_area) > grid_tol then
         QCheck.Test.fail_reportf "seed %d: grid area %.1f vs exact %.1f (tol %.1f)" seed grid_area
           exact_area grid_tol;
-      if Float.abs (hybrid_area -. exact_area) > hybrid_tol then
-        QCheck.Test.fail_reportf "seed %d: hybrid area %.1f vs exact %.1f (tol %.1f)" seed
-          hybrid_area exact_area hybrid_tol;
-      let margin = 2.0 *. sqrt 2.0 *. Float.max grid_cell hybrid_cell in
+      let margin = 2.0 *. sqrt 2.0 *. grid_cell in
       Array.iteri
         (fun i p ->
-          if boundary_distance shapes p >= margin then begin
-            if grid_in.(i) <> exact_in.(i) then
-              QCheck.Test.fail_reportf
-                "seed %d: grid membership at (%.1f, %.1f) is %b, exact says %b" seed p.Point.x
-                p.Point.y grid_in.(i) exact_in.(i);
-            if hybrid_in.(i) <> exact_in.(i) then
-              QCheck.Test.fail_reportf
-                "seed %d: hybrid membership at (%.1f, %.1f) is %b, exact says %b" seed p.Point.x
-                p.Point.y hybrid_in.(i) exact_in.(i)
-          end)
+          if boundary_distance shapes p >= margin && grid_in.(i) <> exact_in.(i) then
+            QCheck.Test.fail_reportf
+              "seed %d: grid membership at (%.1f, %.1f) is %b, exact says %b" seed p.Point.x
+              p.Point.y grid_in.(i) exact_in.(i))
         probes;
       true)
 
 (* ------------------------------------------------------------------ *)
-(* Spec parsing *)
-(* ------------------------------------------------------------------ *)
-
-let test_spec_round_trip () =
-  let ok s = match Region_backend.spec_of_string s with Ok v -> v | Error e -> Alcotest.fail e in
-  Alcotest.(check string) "exact" "exact" (Region_backend.spec_to_string (ok "exact"));
-  Alcotest.(check string) "hybrid default" "hybrid" (Region_backend.spec_to_string (ok "hybrid"));
-  Alcotest.(check string) "hybrid sized" "hybrid:32"
-    (Region_backend.spec_to_string (ok "hybrid:32"));
-  List.iter
-    (fun (s, why) ->
-      match Region_backend.spec_of_string s with
-      | Ok _ -> Alcotest.failf "%s should be rejected (%s)" s why
-      | Error _ -> ())
-    [
-      ("hybrid:2", "below the size floor");
-      ("voronoi", "unknown backend");
-      ("grid", "not a solver backend");
-      ("grid:128", "not a solver backend");
-    ]
-
-(* ------------------------------------------------------------------ *)
-(* Backends through the solver *)
+(* Solver configuration *)
 (* ------------------------------------------------------------------ *)
 
 (* Overlapping annuli in a square world: their mutual clips build cells
@@ -201,14 +169,8 @@ let ring_constraints () =
         ~weight:1.0
         ~source:(Printf.sprintf "ring %d" k))
 
-let solve_with ?config ?backend () =
-  let world = solver_world () in
-  let backend =
-    match backend with
-    | None -> Region_backend.exact
-    | Some spec -> Region_backend.instantiate spec ~world
-  in
-  let s = Octant.Solver.create ?config ~backend ~world () in
+let solve_with ?config () =
+  let s = Octant.Solver.create ?config ~world:(solver_world ()) () in
   let s = Octant.Solver.add_all s (ring_constraints ()) in
   (Octant.Solver.solve s, s)
 
@@ -273,34 +235,13 @@ let test_config_threshold_gates_simplification () =
   if Point.dist est_default.Octant.Solver.point est_raw.Octant.Solver.point > 10.0 then
     Alcotest.fail "simplified point estimate drifted more than 10 km"
 
-let test_solver_backend_parity () =
-  let est_exact, s_exact = solve_with () in
-  Alcotest.(check string) "default backend" "exact" (Octant.Solver.backend_name s_exact);
-  Region_backend.reset_hybrid_stats ();
-  let est_hybrid, s_hybrid =
-    solve_with ~backend:(Region_backend.Hybrid { cells = Region_backend.default_hybrid_cells }) ()
-  in
-  Alcotest.(check string) "hybrid name" "hybrid" (Octant.Solver.backend_name s_hybrid);
-  let stats = Region_backend.hybrid_stats () in
-  if stats.Region_backend.exact_clips = 0 then Alcotest.fail "hybrid never clipped";
-  if stats.Region_backend.skipped_bbox + stats.Region_backend.skipped_grid = 0 then
-    Alcotest.fail "hybrid prefilter never skipped a clip";
-  let rel = Float.abs (est_hybrid.Octant.Solver.area_km2 -. est_exact.Octant.Solver.area_km2)
-            /. Float.max est_exact.Octant.Solver.area_km2 1.0 in
-  if rel > 0.02 then
-    Alcotest.failf "hybrid estimate area drifted %.1f%% from exact" (100.0 *. rel);
-  if Point.dist est_hybrid.Octant.Solver.point est_exact.Octant.Solver.point > 5.0 then
-    Alcotest.fail "hybrid point estimate drifted more than 5 km from exact"
-
 let suite =
   [
     ( "backends",
       [
         QCheck_alcotest.to_alcotest prop_chain_parity;
-        Alcotest.test_case "spec parsing round-trips" `Quick test_spec_round_trip;
         Alcotest.test_case "solver config defaults pinned" `Quick test_config_defaults_pinned;
         Alcotest.test_case "simplify threshold gates behavior" `Quick
           test_config_threshold_gates_simplification;
-        Alcotest.test_case "solver parity across backends" `Quick test_solver_backend_parity;
       ] );
   ]

@@ -356,6 +356,32 @@ let comb_fresh_domain () =
       expect_same (name ^ " on a fresh domain") got (reference comb comb_clip))
     [ ("inter", Geo.Clip.inter, Ref.inter); ("diff", Geo.Clip.diff, Ref.diff) ]
 
+(* The daemon clips on two systhreads of domain 0 (its batcher thread
+   and its session thread), which share that domain's buffer pool.  Both
+   threads run the same inter/diff workload over convex (Sutherland–
+   Hodgman) and non-convex (Greiner–Hormann) pairs, for long enough that
+   the runtime switches between them many times mid-clip; every result
+   must equal the single-threaded one. *)
+let two_systhreads () =
+  let pairs =
+    List.concat_map
+      (fun seed -> [ poly_pair ~convex:true seed; poly_pair ~convex:false seed ])
+      (List.init 16 Fun.id)
+  in
+  let run () = List.concat_map (fun (a, b) -> [ Geo.Clip.inter a b; Geo.Clip.diff a b ]) pairs in
+  let expected = run () in
+  let same got = List.for_all2 (fun g e -> List.equal same_polygon g e) got expected in
+  let mismatches = Atomic.make 0 in
+  let worker () =
+    for _ = 1 to 2000 do
+      if not (same (run ())) then Atomic.incr mismatches
+    done
+  in
+  let threads = List.init 2 (fun _ -> Thread.create worker ()) in
+  List.iter Thread.join threads;
+  Alcotest.(check int) "rounds that differ from the single-threaded run" 0
+    (Atomic.get mismatches)
+
 let suite =
   [
     ( "clip-equivalence",
@@ -373,5 +399,7 @@ let suite =
         Alcotest.test_case "nearly collinear edges with a rounding-sized gap" `Quick rounding_gaps;
         Alcotest.test_case "comb: 120 crossings in one traversal" `Quick comb_cases;
         Alcotest.test_case "operands with far-apart boxes skip the traversal" `Quick apart_operands;
+        Alcotest.test_case "two systhreads of one domain share the buffer pool" `Quick
+          two_systhreads;
       ] );
   ]

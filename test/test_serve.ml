@@ -871,6 +871,82 @@ let test_stop_drains_pipelined () =
       | exception End_of_file -> ());
       Thread.join stopper)
 
+(* A client whose connect returned before [stop], but which the loop has
+   not accepted yet, is owed its replies too.  The handler holds the loop
+   thread on the first client's request; meanwhile a second client
+   connects and pipelines pings, and another thread calls [stop].  The
+   drain used to drop the listener at once, so the second client was
+   never read, and closing the listener reset it. *)
+let test_stop_accepts_backlog () =
+  let module Reactor = Octant_serve.Reactor in
+  let module Metrics = Octant_serve.Metrics in
+  let reactor =
+    Reactor.create ~host:"127.0.0.1" ~port:0 ~max_connections:8 ~max_frame_bytes:65536
+      ~counters:
+        {
+          Reactor.connections = Metrics.connections;
+          rejected_connections = Metrics.rejected_connections;
+          loop_failures = Metrics.loop_failures;
+          encode_failures = Metrics.encode_failures;
+        }
+      ()
+  in
+  let lock = Mutex.create () and changed = Condition.create () in
+  let held = ref false and released = ref false in
+  let on_request conn req =
+    Mutex.lock lock;
+    if not !held then begin
+      held := true;
+      Condition.broadcast changed;
+      while not !released do
+        Condition.wait changed lock
+      done
+    end;
+    Mutex.unlock lock;
+    Reactor.reply reactor conn (match req with Ok _ -> Protocol.pong_reply | Error e -> e)
+  in
+  Reactor.run reactor { Reactor.on_request; in_flight = (fun () -> 0); on_drained = ignore };
+  let port = Reactor.port reactor in
+  let fd1, ic1, oc1 = connect port in
+  send oc1 {|{"op":"ping"}|};
+  Mutex.lock lock;
+  while not !held do
+    Condition.wait changed lock
+  done;
+  Mutex.unlock lock;
+  let fd2, ic2, oc2 = connect port in
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.close fd1;
+      Unix.close fd2)
+    (fun () ->
+      let n = 8 in
+      for _ = 1 to n do
+        send oc2 {|{"op":"ping"}|}
+      done;
+      let stopper = Thread.create (fun () -> Reactor.stop reactor) () in
+      while not (Reactor.draining reactor) do
+        Thread.delay 0.001
+      done;
+      Mutex.lock lock;
+      released := true;
+      Condition.broadcast changed;
+      Mutex.unlock lock;
+      Alcotest.(check string) "held request answered" "pong"
+        (Protocol.status_of (parse_reply (input_line ic1)));
+      for i = 0 to n - 1 do
+        match input_line ic2 with
+        | raw ->
+            Alcotest.(check string) "queued client answered" "pong"
+              (Protocol.status_of (parse_reply raw))
+        | exception (End_of_file | Sys_error _) ->
+            Alcotest.failf "queued client lost %d of its %d replies" (n - i) n
+      done;
+      (match input_line ic2 with
+      | _ -> Alcotest.fail "expected EOF after drain"
+      | exception End_of_file -> ());
+      Thread.join stopper)
+
 (* The drain waits for input to go quiet only inside its bounded flush
    window.  A client pinging every 50 ms through the whole stop still has
    its pings answered, and stop returns once the window closes instead of
@@ -951,6 +1027,8 @@ let suite =
         Alcotest.test_case "a peer that hangs up does not kill the process" `Quick
           test_hangup_survival;
         Alcotest.test_case "stop drains pipelined requests" `Quick test_stop_drains_pipelined;
+        Alcotest.test_case "stop answers clients still in the listen backlog" `Quick
+          test_stop_accepts_backlog;
         Alcotest.test_case "stop returns while a client keeps sending" `Quick
           test_stop_bounded_under_input;
         Alcotest.test_case "a raising reply callback does not unwind the batcher" `Quick

@@ -2,9 +2,9 @@
 
    The contract under test (ROADMAP item 1): at every prefix of an
    observation feed, the session's incremental estimate is bit-identical
-   on the exact backend to a from-scratch batch recompute over the same
-   constraint log — folding performs literally the same [Solver.add]
-   sequence a replay would, so nothing may diverge, ever.
+   to a from-scratch batch recompute over the same constraint log —
+   folding performs literally the same [Solver.add] sequence a replay
+   would, so nothing may diverge, ever.
 
    Enforced at three layers here: qcheck over random feeds (out-of-order
    epochs, duplicate-landmark deltas, interleaved retires), a golden
@@ -33,7 +33,7 @@ let check_parity what session est =
   if not (same_estimate est (Session.replay_estimate session)) then
     Alcotest.failf "%s: incremental estimate diverges from from-scratch replay" what
 
-(* ---- shared fixture world (12 landmarks, exact backend) ---- *)
+(* ---- shared fixture world (12 landmarks) ---- *)
 
 let fixture = lazy (World.make (World.spec ~seed:77001 ()))
 let fixture_ctx = lazy (World.context (Lazy.force fixture))
